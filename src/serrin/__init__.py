@@ -25,7 +25,7 @@ from .modes import (Endpoint, ModeSolution, RiccatiState, frobenius_launch,
 from .spectrum import (BifurcationPoint, EigenCurve, asymptotics_report,
                        eigen_curve, find_lambda_n, sigma,
                        sigma_prime_closed_form)
-from .torsion import TorsionField, neumann_trace, serrin_defect, solve_torsion
+from .torsion import TorsionField, serrin_defect, solve_torsion
 from .linearize import (HarmonicExtension, apply_L, fd_derivative_H,
                         harmonic_extend, resolvent_apply)
 from .branch import (BranchPoint, BranchRun, branch_report,
@@ -44,7 +44,7 @@ __all__ = [
     "frobenius_launch", "solve_l", "riccati_sweep",
     "sigma", "EigenCurve", "eigen_curve", "BifurcationPoint", "find_lambda_n",
     "sigma_prime_closed_form", "asymptotics_report",
-    "TorsionField", "solve_torsion", "neumann_trace", "serrin_defect",
+    "TorsionField", "solve_torsion", "serrin_defect",
     "HarmonicExtension", "harmonic_extend", "apply_L", "fd_derivative_H",
     "resolvent_apply",
     "BranchPoint", "BranchRun", "check_cr_hypotheses", "trace_branch",

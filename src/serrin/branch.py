@@ -19,15 +19,13 @@ hypotheses are certified numerically: trivial branch, one-dimensional
 kernel, spectral gap, and transversal eigenvalue crossing.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AnalysisError, DomainValidationError, NumericalError
-from .fourier import CosineSeries, angle_grid, cosine_coefficients
-from .geometry import (BoundaryProfile, ModeIndex, boundary_area,
-                       boundary_area_element, volume)
+from .fourier import CosineSeries, cosine_coefficients
+from .geometry import BoundaryProfile, ModeIndex, boundary_area, volume
 from .linearize import apply_L, constant_operator, resolvent_apply
 from .spectrum import find_lambda_n, sigma_prime_closed_form
 from .torsion import mean_flux, parse_resolution, serrin_defect, solve_torsion
@@ -75,7 +73,7 @@ def check_cr_hypotheses(mode, truncation=16, resolution=(64, 64),
     crosses zero transversally, with the sign of the closed-form slope.
     Any failure raises :class:`AnalysisError` naming the item.
     """
-    mode = mode if isinstance(mode, ModeIndex) else ModeIndex(*mode)
+    mode = ModeIndex.coerce(mode)
     root = find_lambda_n(mode)
     lam_j = root.lambda_n
 
@@ -130,6 +128,7 @@ class BranchPoint:
     neumann: np.ndarray
     volume: float
     area: float
+    mean_flux: float             # area-weighted, from torsion.mean_flux
 
     @property
     def kernel_orthogonality(self):
@@ -140,11 +139,6 @@ class BranchPoint:
     def divergence_gap(self):
         """|area-weighted mean flux * area + volume|."""
         return abs(self.mean_flux * self.area + self.volume)
-
-    @property
-    def mean_flux(self):
-        wts = boundary_area_element(self.profile, angle_grid(self.neumann.size))
-        return float(np.sum(wts * self.neumann) / np.sum(wts))
 
 
 @dataclass
@@ -189,11 +183,12 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
     unknown) and kept frozen within a point.  The first correction at each
     new amplitude uses the diagonal Lyapunov-Schmidt preconditioner built
     from the resolvent denominators, which is nearly exact close to the
-    bifurcation point.  A point whose iteration diverges is retried from
+    bifurcation point.  A point whose iteration diverges, or whose line
+    search cannot lower the residual in five halvings, is retried from
     the half-amplitude; a second failure aborts with the last good point.
     Profiles leaving the admissible band terminate the run with a reason.
     """
-    mode = mode if isinstance(mode, ModeIndex) else ModeIndex(*mode)
+    mode = ModeIndex.coerce(mode)
     if certificate is None:
         certificate = check_cr_hypotheses(mode, truncation, resolution)
     lam_j = certificate.lambda_j
@@ -201,11 +196,15 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
     settings = {"s_max": float(s_max), "n_steps": int(n_steps),
                 "resolution": parse_resolution(resolution),
                 "truncation": int(truncation), "newton_tol": float(newton_tol),
-                "max_newton": int(max_newton), "started": time.strftime("%Y-%m-%dT%H:%M:%S")}
+                "max_newton": int(max_newton)}
 
     fld0 = solve_torsion(BoundaryProfile.constant(mode.axis, lam_j), resolution)
     points = [_make_point(mode, 0.0, np.concatenate([[lam_j], np.zeros(n_free)]),
                           truncation, fld0, 0)]
+
+    def newton(x0, amplitude):
+        return _newton_solve(mode, x0, amplitude, truncation, resolution, newton_tol,
+                             max_newton, jacobian_step, certificate)
 
     x = np.concatenate([[lam_j], np.zeros(n_free)])
     x_prev = None
@@ -214,24 +213,17 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
         s = k * s_max / n_steps
         pred = x if x_prev is None else 2.0 * x - x_prev
         try:
-            x_new, fld, iters = _newton_solve(mode, pred, s, truncation, resolution,
-                                              newton_tol, max_newton, jacobian_step,
-                                              certificate)
-        except NumericalError:
             try:
-                s_half = s - 0.5 * s_max / n_steps
-                x_half, _, _ = _newton_solve(mode, x, s_half, truncation, resolution,
-                                             newton_tol, max_newton, jacobian_step,
-                                             certificate)
-                x_new, fld, iters = _newton_solve(mode, x_half, s, truncation,
-                                                  resolution, newton_tol, max_newton,
-                                                  jacobian_step, certificate)
-            except NumericalError as exc:
-                err = NumericalError(
-                    f"Newton failed at amplitude {s:.5f} even after step halving: {exc}")
-                err.partial_run = BranchRun(mode, points, settings, "newton-failure",
-                                            certificate)
-                raise err
+                x_new, fld, iters = newton(pred, s)
+            except NumericalError:
+                x_half, _, _ = newton(x, s - 0.5 * s_max / n_steps)
+                x_new, fld, iters = newton(x_half, s)
+        except NumericalError as exc:
+            err = NumericalError(
+                f"Newton failed at amplitude {s:.5f} even after step halving: {exc}")
+            err.partial_run = BranchRun(mode, points, settings, "newton-failure",
+                                        certificate)
+            raise err
         except DomainValidationError as exc:
             termination = f"profile left the admissible band at s={s:.5f}: {exc}"
             break
@@ -268,9 +260,13 @@ def _newton_solve(mode, x0, s, truncation, resolution, tol, max_iter,
         for _ in range(5):
             res_new, fld_new = _residual(mode, x + step * delta, s, truncation,
                                          resolution)
-            if np.max(np.abs(res_new)) < np.max(np.abs(res)) or step < 0.1:
+            if np.max(np.abs(res_new)) < np.max(np.abs(res)):
                 break
             step *= 0.5
+        else:
+            raise NumericalError(
+                f"line search at s={s:.5f}: five step halvings did not lower "
+                f"the residual {np.max(np.abs(res)):.3e}")
         x = x + step * delta
         res, fld = res_new, fld_new
     return x, fld, iters
@@ -314,7 +310,7 @@ def _make_point(mode, s, x, truncation, fld, iters):
         w = CosineSeries([0.0])
     return BranchPoint(mode, float(s), float(x[0]), w, prof,
                        serrin_defect(fld), int(iters), fld.neumann.copy(),
-                       volume(prof), boundary_area(prof))
+                       volume(prof), boundary_area(prof), mean_flux(fld))
 
 
 @dataclass

@@ -2,9 +2,9 @@
 
 Radial direction: a graded mesh clustered at the boundary t = 1 (where the
 torsion function steepens as the tube widens) and mildly at the axis, with
-nonuniform finite-difference stencils of configurable width (7 points by
-default).  No node sits on the degenerate axis t = 0: the mesh is offset by
-half a cell and stencils reaching past the axis use reflected nodes.  A
+nonuniform seven-point finite-difference stencils (``HALF_WIDTH`` nodes on
+each side).  No node sits on the degenerate axis t = 0: the mesh is offset
+by half a cell and stencils reaching past the axis use reflected nodes.  A
 function on the tube extends through the axis by
 
     u(-t, a) = u(t, a)            (xi-profiles: the collapsing circle is
@@ -31,8 +31,8 @@ from .geometry import Axis, laplacian_coefficients
 __all__ = ["fd_weights", "radial_grid", "fourier_diff_matrices",
            "periodic_fd_matrices", "TubeOperator"]
 
-DEFAULT_HALF_WIDTH = 3
-DEFAULT_GRADING = 3.0
+HALF_WIDTH = 3
+GRADING = 3.0
 
 
 def fd_weights(x0, x, max_order):
@@ -66,15 +66,15 @@ def fd_weights(x0, x, max_order):
     return c
 
 
-def radial_grid(n_t, beta=DEFAULT_GRADING):
+def radial_grid(n_t):
     """Half-offset graded nodes in (0, 1); the boundary node 1 is separate.
 
     The map composes a smoothstep with a sinh stretch, quadratic clustering
-    at both ends; ``beta`` controls how hard the boundary end clusters.
+    at both ends; ``GRADING`` sets how hard the boundary end clusters.
     """
     tau = (np.arange(n_t) + 0.5) / n_t
     sig = tau * tau * (3.0 - 2.0 * tau)
-    return 1.0 - np.sinh(beta * (1.0 - sig)) / np.sinh(beta)
+    return 1.0 - np.sinh(GRADING * (1.0 - sig)) / np.sinh(GRADING)
 
 
 def fourier_diff_matrices(m_angles):
@@ -125,8 +125,7 @@ class TubeOperator:
     kept for reuse across right-hand sides.
     """
 
-    def __init__(self, profile, n_t, m_angles, half_width=DEFAULT_HALF_WIDTH,
-                 beta=DEFAULT_GRADING, angle_scheme="fourier", axis_shift=None):
+    def __init__(self, profile, n_t, m_angles, angle_scheme="fourier", axis_shift=None):
         if n_t < 8 or m_angles < 4:
             raise ConfigError(f"grid {n_t}x{m_angles} too coarse to assemble")
         if m_angles % 2:
@@ -134,10 +133,8 @@ class TubeOperator:
         self.profile = profile
         self.n_t = int(n_t)
         self.m_angles = int(m_angles)
-        self.half_width = int(half_width)
-        self.beta = float(beta)
         self.angle_scheme = angle_scheme
-        self.t = radial_grid(self.n_t, self.beta)
+        self.t = radial_grid(self.n_t)
         self.angles = angle_grid(self.m_angles)
         # the eta-circle collapses on the axis, so eta-profiles reflect with
         # a half-period shift; axis_shift overrides for defect injection
@@ -149,7 +146,8 @@ class TubeOperator:
 
     # -- assembly -------------------------------------------------------
     def _assemble(self):
-        n_t, m, hw = self.n_t, self.m_angles, self.half_width
+        n_t, m, hw = self.n_t, self.m_angles, HALF_WIDTH
+        n = n_t * m
         width = 2 * hw + 1
         t, ang = self.t, self.angles
         if self.angle_scheme == "fourier":
@@ -175,10 +173,15 @@ class TubeOperator:
             w1[i] = w[:, 1]
             w2[i] = w[:, 2]
 
-        rows, cols, data = [], [], []
-        brows, bcols, bdata = [], [], []
+        # columns of each extended node: a reflected node (radial row < 0)
+        # is the mirrored row with the axis shift, and the boundary node
+        # (radial row n_t) lands on the m columns past n
         karr = np.arange(m)
-        shifted = (karr + self.axis_shift) % m
+        radial = np.arange(-hw, n_t + 1)[:, None]
+        colmap = np.where(radial < 0, (-1 - radial) * m + (karr + self.axis_shift) % m,
+                          radial * m + karr)
+
+        rows, cols, data = [], [], []
 
         def emit(row_idx, col_idx, values):
             rows.append(row_idx.ravel())
@@ -186,43 +189,24 @@ class TubeOperator:
             data.append(values.ravel())
 
         for i in range(n_t):
-            base = i * m
-            row_k = base + karr
-            # pure angle block
-            emit(np.repeat(row_k, m), np.tile(base + karr, m),
-                 gaa[i][:, None] * d2a)
+            row_k = i * m + karr
+            block_rows = np.repeat(row_k, m)
+            emit(block_rows, np.tile(row_k, m), gaa[i][:, None] * d2a)
             for j in range(width):
-                g = lows[i] + j
-                coef_r = gtt[i] * w2[i, j] + ct[i] * w1[i, j]   # length m
-                if g < hw:                       # reflected node
-                    tgt = (hw - 1 - g) * m
-                    emit(row_k, tgt + shifted, coef_r)
-                    if has_cross:
-                        cross = (2.0 * gta[i] * w1[i, j])[:, None] * d1a
-                        emit(np.repeat(row_k, m), np.tile(tgt + shifted, m), cross)
-                elif g == n_ext - 1:             # boundary column
-                    brows.append(row_k)
-                    bcols.append(karr)
-                    bdata.append(coef_r)
-                    if has_cross:
-                        cross = (2.0 * gta[i] * w1[i, j])[:, None] * d1a
-                        brows.append(np.repeat(row_k, m))
-                        bcols.append(np.tile(karr, m))
-                        bdata.append(cross.ravel())
-                else:                            # ordinary interior node
-                    tgt = (g - hw) * m
-                    emit(row_k, tgt + karr, coef_r)
-                    if has_cross:
-                        cross = (2.0 * gta[i] * w1[i, j])[:, None] * d1a
-                        emit(np.repeat(row_k, m), np.tile(tgt + karr, m), cross)
+                col_k = colmap[lows[i] + j]
+                emit(row_k, col_k, gtt[i] * w2[i, j] + ct[i] * w1[i, j])
+                if has_cross:
+                    emit(block_rows, np.tile(col_k, m),
+                         (2.0 * gta[i] * w1[i, j])[:, None] * d1a)
 
-        n = n_t * m
-        self.matrix = sparse.coo_matrix(
+        full = sparse.coo_matrix(
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n)).tocsc()
-        self.boundary_matrix = sparse.coo_matrix(
-            (np.concatenate(bdata), (np.concatenate(brows), np.concatenate(bcols))),
-            shape=(n, m)).tocsr()
+            shape=(n, n + m)).tocsc()
+        # views of the first n columns, which a full[:, :n] slice would copy
+        nnz = full.indptr[n]
+        self.matrix = sparse.csc_matrix(
+            (full.data[:nnz], full.indices[:nnz], full.indptr[:n + 1]), shape=(n, n))
+        self.boundary_matrix = full[:, n:]
 
         # one-sided derivative stencil at t = 1 matching the interior order
         q = min(2 * hw + 2, n_t + 1)

@@ -69,9 +69,22 @@ class ModeIndex:
 
     def __post_init__(self):
         object.__setattr__(self, "axis", _as_axis(self.axis))
-        if int(self.n) != self.n or self.n < 0:
-            raise DomainValidationError(f"mode frequency must be an integer >= 0, got {self.n}")
+        try:
+            valid = int(self.n) == self.n and self.n >= 0
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise DomainValidationError(f"mode frequency must be an integer >= 0, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
+
+    @classmethod
+    def coerce(cls, mode):
+        """Accept a ModeIndex or an (axis, n) pair."""
+        if isinstance(mode, cls):
+            return mode
+        if isinstance(mode, (tuple, list)) and len(mode) == 2:
+            return cls(*mode)
+        raise DomainValidationError(f"cannot interpret {mode!r} as a mode index")
 
     @property
     def eps_delta(self):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import DEFAULT_GRADING, DEFAULT_HALF_WIDTH, TubeOperator
+from .discrete import TubeOperator
 from .errors import AnalysisError, DomainValidationError, NumericalError
 from .fourier import CosineSeries, cosine_coefficients
 from .geometry import HALF_PI, Axis, BoundaryProfile, ModeIndex
@@ -29,8 +29,6 @@ __all__ = ["HarmonicExtension", "LApplication", "SpectralDecomposition",
            "spectral_decomposition", "constant_operator", "FDDerivativeTable"]
 
 DEFAULT_RESOLUTION = (256, 48)
-_OP_CACHE = {}
-_OP_CACHE_MAX = 24
 
 
 def _as_series(w):
@@ -41,27 +39,16 @@ def _as_series(w):
     return CosineSeries(np.asarray(w, dtype=float))
 
 
-def constant_operator(axis, lam, resolution=DEFAULT_RESOLUTION,
-                      half_width=DEFAULT_HALF_WIDTH, beta=DEFAULT_GRADING,
-                      angle_scheme="fourier", axis_shift=None):
-    """Assembled (and factorization-cached) operator of a straight tube.
+def constant_operator(axis, lam, resolution=DEFAULT_RESOLUTION, axis_shift=None):
+    """Assembled operator of the straight tube of radius ``lam``.
 
-    One factorization serves every boundary datum at the same radius, which
-    keeps mode sweeps and spectral decompositions cheap.
+    The caller owns it: one factorization serves every boundary datum at
+    the same radius when the operator is passed as ``operator=`` to
+    :func:`apply_L` or :func:`harmonic_extend`.
     """
-    axis = Axis(axis)
     n_t, m = parse_resolution(resolution)
-    key = (axis, round(float(lam), 14), n_t, m, half_width, beta,
-           angle_scheme, axis_shift)
-    op = _OP_CACHE.get(key)
-    if op is None:
-        profile = BoundaryProfile.constant(axis, lam)
-        op = TubeOperator(profile, n_t, m, half_width=half_width, beta=beta,
-                          angle_scheme=angle_scheme, axis_shift=axis_shift)
-        if len(_OP_CACHE) >= _OP_CACHE_MAX:
-            _OP_CACHE.pop(next(iter(_OP_CACHE)))
-        _OP_CACHE[key] = op
-    return op
+    return TubeOperator(BoundaryProfile.constant(axis, lam), n_t, m,
+                        axis_shift=axis_shift)
 
 
 @dataclass

@@ -72,7 +72,6 @@ def _poly_div(a, b, order):
     binv = 1.0 / b[0]
     for k in range(order + 1):
         acc = a[k] if k < len(a) else 0.0
-        lo = max(1, k - (len(out) - 1))
         for j in range(1, min(k, len(b) - 1) + 1):
             acc -= b[j] * out[k - j]
         out[k] = acc * binv
@@ -165,7 +164,7 @@ def indicial_roots(mode, endpoint):
     collapsing circle and the double root (0, 0) for the other; the roles
     swap at theta = pi/2 where the opposite circle degenerates.
     """
-    mode = _as_mode(mode)
+    mode = ModeIndex.coerce(mode)
     n = float(mode.n)
     at_zero = (mode.axis is Axis.ETA)
     if endpoint is Endpoint.PI_HALF:
@@ -182,7 +181,7 @@ def frobenius_launch(mode, series_order=DEFAULT_SERIES_ORDER,
     theta^n.  The tail of the truncated series must certify 1e-14, else a
     :class:`PrecisionError` is raised.
     """
-    mode = _as_mode(mode)
+    mode = ModeIndex.coerce(mode)
     if launch_radius <= 0 or launch_radius >= HALF_PI:
         raise DomainValidationError("launch_radius must lie in (0, pi/2)")
     eps, delta = mode.eps_delta
@@ -368,7 +367,7 @@ def riccati_solution(mode, rtol=1e-10, lam_max=LAMBDA_MAX,
     ``_initial_shift`` deliberately corrupts the launch value; it exists so
     the verification battery can prove its bound monitors are not vacuous.
     """
-    mode = _as_mode(mode)
+    mode = ModeIndex.coerce(mode)
     if not 0.0 < lam_max < HALF_PI:
         raise DomainValidationError("lam_max must lie in (0, pi/2)")
     if mode.n == 0:
@@ -425,7 +424,7 @@ def riccati_bounds(mode, lam):
     modes with n >= 2 (reached exactly at n = 2) and n lam cot(lam) for eta
     modes with n >= 1; ``None`` marks sides with no proved bound.
     """
-    mode = _as_mode(mode)
+    mode = ModeIndex.coerce(mode)
     n, lam = mode.n, np.asarray(lam, dtype=float)
     if n == 0:
         return None, None
@@ -446,7 +445,7 @@ def riccati_sweep(mode, lam_max=LAMBDA_MAX, tol=1e-10, lam_grid=None,
     aborts with a :class:`ConsistencyError`, since it can only come from a
     defective launch or integration.
     """
-    mode = _as_mode(mode)
+    mode = ModeIndex.coerce(mode)
     if lam_grid is None:
         lam_grid = chebyshev_grid(400, DEFAULT_LAUNCH_RADIUS, lam_max)
     lam_grid = np.asarray(lam_grid, dtype=float)
@@ -465,14 +464,3 @@ def riccati_sweep(mode, lam_max=LAMBDA_MAX, tol=1e-10, lam_grid=None,
                 f"{mode} violates the lower comparison bound")
     return RiccatiState(mode, lam_grid, vals)
 
-
-def _as_mode(mode):
-    if isinstance(mode, ModeIndex):
-        return mode
-    if isinstance(mode, (tuple, list)) and len(mode) == 2:
-        return ModeIndex(_coerce_axis(mode[0]), int(mode[1]))
-    raise DomainValidationError(f"cannot interpret {mode!r} as a mode index")
-
-
-def _coerce_axis(axis):
-    return axis if isinstance(axis, Axis) else Axis(str(axis).lower())

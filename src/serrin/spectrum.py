@@ -37,7 +37,7 @@ def _sigma_from_lprime(lam, l_prime):
 
 def sigma_values(mode, lam, rtol=1e-10):
     """sigma_n on an array of radii, through the cached Riccati sweep."""
-    mode = mode if isinstance(mode, ModeIndex) else ModeIndex(*mode)
+    mode = ModeIndex.coerce(mode)
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 0.0) or np.any(lam >= HALF_PI):
         raise DomainValidationError("lambda must lie in (0, pi/2)")
@@ -63,7 +63,7 @@ def sigma_ode(mode, lam, rtol=1e-12):
     Used as a cross-check oracle against the Riccati route; the two must
     agree to the integrator tolerances.
     """
-    mode = mode if isinstance(mode, ModeIndex) else ModeIndex(*mode)
+    mode = ModeIndex.coerce(mode)
     eps, delta = mode.eps_delta
     ms = solve_l(eps, delta, lam, t_grid=np.asarray([1.0]), rtol=rtol)
     return float(_sigma_from_lprime(float(lam), ms.l_prime_at_1))
@@ -81,7 +81,7 @@ class EigenCurve:
 
 def eigen_curve(mode, lam_grid=None, rtol=1e-10):
     """Sample sigma_n on a grid (400 Chebyshev nodes by default)."""
-    mode = mode if isinstance(mode, ModeIndex) else ModeIndex(*mode)
+    mode = ModeIndex.coerce(mode)
     if lam_grid is None:
         lam_grid = chebyshev_grid(400)
     lam_grid = np.asarray(lam_grid, dtype=float)
@@ -113,7 +113,7 @@ def bifurcation_bracket(mode):
     other end (the n = 2 xi root sits exactly at arcsin(1/sqrt(2)), so the
     upper end is padded rather than taken at the closed-form bound).
     """
-    mode = mode if isinstance(mode, ModeIndex) else ModeIndex(*mode)
+    mode = ModeIndex.coerce(mode)
     n = mode.n
     if n < 2:
         raise DomainValidationError(f"bifurcation needs a mode with n >= 2, got n={n}")
@@ -131,7 +131,7 @@ def find_lambda_n(mode, tol=1e-12, sweep_rtol=1e-10, scan_points=200):
     a sign scan over ``scan_points`` nodes spanning (0, pi/2); this guards
     against implementation bugs, the mathematical uniqueness being known.
     """
-    mode = mode if isinstance(mode, ModeIndex) else ModeIndex(*mode)
+    mode = ModeIndex.coerce(mode)
     lo, hi = bifurcation_bracket(mode)
     f = lambda x: sigma(mode, x, rtol=sweep_rtol)
     flo, fhi = f(lo), f(hi)

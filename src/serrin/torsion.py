@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrete import DEFAULT_GRADING, DEFAULT_HALF_WIDTH, TubeOperator
+from .discrete import GRADING, HALF_WIDTH, TubeOperator
 from .errors import ConfigError, NumericalError
 from .geometry import BoundaryProfile, boundary_area_element, neumann_weight
 
-__all__ = ["TorsionField", "solve_torsion", "neumann_trace", "serrin_defect",
-           "mean_flux", "parse_resolution"]
+__all__ = ["TorsionField", "solve_torsion", "serrin_defect", "mean_flux",
+           "parse_resolution"]
 
 RESIDUAL_CAP = 1e-10
 
@@ -56,9 +56,7 @@ class TorsionField:
     meta: dict = field(default_factory=dict)
 
 
-def solve_torsion(profile, resolution=(64, 64), half_width=DEFAULT_HALF_WIDTH,
-                  beta=DEFAULT_GRADING, angle_scheme="fourier", operator=None,
-                  axis_shift=None):
+def solve_torsion(profile, resolution=(64, 64), angle_scheme="fourier"):
     """Solve the torsion problem for one admissible profile.
 
     Parameters
@@ -67,38 +65,28 @@ def solve_torsion(profile, resolution=(64, 64), half_width=DEFAULT_HALF_WIDTH,
         Single-angle boundary profile; validated for admissibility.
     resolution : (int, int) or 'NxM'
         Radial times angular node counts, at least 16 x 16.
-    operator : TubeOperator, optional
-        Reuse a prebuilt operator (its profile must match).
+    angle_scheme : {'fourier', 'fd2'}
+        Angle coupling of the assembled operator (see :mod:`serrin.discrete`).
 
-    The scaled residual of the direct solve is recorded and must stay below
-    1e-10, else a :class:`NumericalError` is raised.
+    Each call assembles and factorizes its own operator.  The scaled
+    residual of the direct solve is recorded and must stay below 1e-10,
+    else a :class:`NumericalError` is raised.
     """
     n_t, m = parse_resolution(resolution)
-    if operator is None:
-        if n_t < 16 or m < 16:
-            raise ConfigError(f"resolution must be at least 16x16, got {n_t}x{m}")
-        profile.validate()
-        operator = TubeOperator(profile, n_t, m, half_width=half_width,
-                                beta=beta, angle_scheme=angle_scheme,
-                                axis_shift=axis_shift)
+    if n_t < 16 or m < 16:
+        raise ConfigError(f"resolution must be at least 16x16, got {n_t}x{m}")
+    profile.validate()
+    operator = TubeOperator(profile, n_t, m, angle_scheme=angle_scheme)
     u = operator.solve(-1.0, 0.0)
     residual = operator.scaled_residual(u, -1.0, 0.0)
     if residual > RESIDUAL_CAP:
         raise NumericalError(
             f"direct solve residual {residual:.3e} exceeds {RESIDUAL_CAP:.0e}")
     du = operator.t_derivative_trace(u, 0.0)
-    h_vals = neumann_weight(operator.profile, operator.angles) * du
-    return TorsionField(operator.profile, operator.t, operator.angles, u,
-                        h_vals, residual,
-                        meta={"resolution": (operator.n_t, operator.m_angles),
-                              "half_width": operator.half_width,
-                              "beta": operator.beta,
-                              "angle_scheme": operator.angle_scheme})
-
-
-def neumann_trace(fld):
-    """Boundary flux H(profile) at the angle nodes of a solved field."""
-    return fld.neumann
+    h_vals = neumann_weight(profile, operator.angles) * du
+    return TorsionField(profile, operator.t, operator.angles, u, h_vals, residual,
+                        meta={"resolution": (n_t, m), "half_width": HALF_WIDTH,
+                              "beta": GRADING, "angle_scheme": angle_scheme})
 
 
 def mean_flux(fld):

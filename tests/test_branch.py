@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from serrin import branch
+from serrin.errors import DomainValidationError, NumericalError
 from serrin.fourier import CosineSeries
 from serrin.geometry import Axis, BoundaryProfile, ModeIndex
 from serrin.branch import branch_report, check_cr_hypotheses, trace_branch
@@ -90,6 +92,42 @@ class TestBranch:
         coarse = trace_branch(ModeIndex(XI, 2), resolution=(40, 32), **kwargs)
         fine = trace_branch(ModeIndex(XI, 2), resolution=(80, 32), **kwargs)
         assert abs(coarse.points[-1].lam - fine.points[-1].lam) < 1e-7
+
+
+class TestFailurePaths:
+    def test_line_search_that_never_descends_fails(self, cert_xi2, monkeypatch):
+        real = branch._residual
+        calls = []
+
+        def residual(mode, x, s, truncation, resolution):
+            res, fld = real(mode, x, s, truncation, resolution)
+            calls.append(x)
+            if len(calls) > 1:          # every trial step: no descent
+                res = res + 1.0
+            return res, fld
+
+        monkeypatch.setattr(branch, "_residual", residual)
+        x0 = np.concatenate([[cert_xi2.lambda_j], np.zeros(7)])
+        with pytest.raises(NumericalError, match="five step halvings"):
+            branch._newton_solve(ModeIndex(XI, 2), x0, 0.005, 8, (48, 32),
+                                 1e-10, 12, 1e-6, cert_xi2)
+        assert len(calls) == 6
+
+    def test_band_exit_during_retry_ends_the_run(self, cert_xi2, monkeypatch):
+        attempts = []
+
+        def newton_solve(mode, x0, s, *args):
+            attempts.append(s)
+            if len(attempts) == 1:
+                raise NumericalError("diverged")
+            raise DomainValidationError("profile leaves the admissible band")
+
+        monkeypatch.setattr(branch, "_newton_solve", newton_solve)
+        run = trace_branch(ModeIndex(XI, 2), s_max=0.01, n_steps=1,
+                           resolution=(48, 32), truncation=8, certificate=cert_xi2)
+        assert attempts == [0.01, 0.005]
+        assert run.termination.startswith("profile left the admissible band at s=0.01000")
+        assert len(run.points) == 1
 
 
 class TestReport:

@@ -107,6 +107,17 @@ class TestConfigFile:
         assert (tmp_path / "envout" / "roots_xi.json").exists()
 
 
+class TestBranch:
+    def test_byte_identical_reruns(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = ["branch", "--axis", "xi", "--mode", "2", "--resolution", "48x32",
+                "--truncation", "8", "--steps", "1", "--smax", "0.005"]
+        assert run(args + ["--out", str(a)]) == 0
+        assert run(args + ["--out", str(b)]) == 0
+        for name in ("branch_xi_j2.csv", "branch_xi_j2.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 class TestVerify:
     def test_clean_battery_passes(self):
         assert run(["verify", "--axis", "xi"]) == 0

@@ -66,6 +66,14 @@ class TestSigma:
         with pytest.raises(DomainValidationError):
             sigma(ModeIndex(XI, 2), 1.6)
 
+    @pytest.mark.parametrize("mode", [5, ("zeta", 2), ("xi", 2.5), ("xi", None)])
+    def test_uninterpretable_mode_is_rejected(self, mode):
+        with pytest.raises(DomainValidationError):
+            sigma(mode, 0.5)
+
+    def test_axis_pair_is_coerced(self):
+        assert sigma(("XI", 2), 0.5) == sigma(ModeIndex(Axis.XI, 2), 0.5)
+
 
 def _bisect_sigma_via_ode(mode, lo, hi, iters=48):
     """Independent root oracle: bisection on the dense mode-ODE route."""
