@@ -12,7 +12,8 @@ solve the projected equations
 
     P_m [ H(phi_s) ] = 0   for 1 <= m <= truncation,
 
-by Newton iteration with a finite-difference Jacobian; the mean flux is left
+by Newton iteration with the exact tangent-linear Jacobian of the discrete
+flux map (:func:`serrin.torsion.flux_tangents`); the mean flux is left
 free (a constant flux offset is absorbed by lambda, so the mean-mode
 equation and unknown are both dropped).  Before tracing, the bifurcation
 hypotheses are certified numerically: trivial branch, one-dimensional
@@ -23,12 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .discrete import TubeOperator
 from .errors import AnalysisError, DomainValidationError, NumericalError
 from .fourier import CosineSeries, cosine_coefficients
 from .geometry import BoundaryProfile, ModeIndex, boundary_area, volume
 from .linearize import apply_L, constant_operator, resolvent_apply
 from .spectrum import find_lambda_n, sigma_prime_closed_form
-from .torsion import mean_flux, parse_resolution, serrin_defect, solve_torsion
+from .torsion import (TorsionField, flux_tangents, mean_flux, parse_resolution,
+                      serrin_defect, solve_torsion, torsion_field)
 
 __all__ = ["CRCertificate", "BranchPoint", "BranchRun", "BranchReport",
            "check_cr_hypotheses", "trace_branch", "branch_report"]
@@ -50,13 +53,15 @@ class CRCertificate:
     closed_form_slope: float
     passed: bool
     details: dict = field(default_factory=dict)
+    # torsion field of the straight tube lambda_j at details["resolution"],
+    # the s = 0 point of a branch traced at that resolution
+    lambda_field: TorsionField = field(default=None, repr=False, compare=False)
 
 
-def _discrete_sigmas(mode, lam, truncation, resolution):
-    op = constant_operator(mode.axis, lam, resolution)
+def _discrete_sigmas(mode, lam, truncation, operator):
     out = np.empty(truncation + 1)
     for m in range(truncation + 1):
-        la = apply_L(lam, CosineSeries.basis(m), axis=mode.axis, operator=op)
+        la = apply_L(lam, CosineSeries.basis(m), axis=mode.axis, operator=operator)
         out[m] = la.series.coefficient(m) if m > 0 else la.series.coefficient(0)
     return out
 
@@ -78,15 +83,20 @@ def check_cr_hypotheses(mode, truncation=16, resolution=(64, 64),
     lam_j = root.lambda_n
 
     trivial = 0.0
-    for factor in (0.95, 1.0, 1.05):
+    for factor in (0.95, 1.05):
         fld = solve_torsion(BoundaryProfile.constant(mode.axis, factor * lam_j),
                             resolution)
         trivial = max(trivial, serrin_defect(fld))
+    # one operator at lambda_j serves the trivial-branch solve and the sigmas
+    op_j = constant_operator(mode.axis, lam_j, resolution)
+    fld_j = torsion_field(op_j)
+    trivial = max(trivial, serrin_defect(fld_j))
     if trivial > 1e-10:
         raise AnalysisError(
             f"hypothesis (i) trivial branch: straight-tube defect {trivial:.3e}")
 
-    sig = _discrete_sigmas(mode, lam_j, truncation, resolution)
+    sig = _discrete_sigmas(mode, lam_j, truncation, op_j)
+    del op_j        # free its LU before the two operators below factorize
     below = np.flatnonzero(np.abs(sig) < kernel_tol)
     if below.size != 1 or below[0] != mode.n:
         raise AnalysisError(
@@ -98,8 +108,9 @@ def check_cr_hypotheses(mode, truncation=16, resolution=(64, 64),
         raise AnalysisError(
             f"hypothesis (iii) range: spectral gap {gap:.3e} <= {gap_floor:.0e}")
 
-    plus = _discrete_sigmas(mode, lam_j + fd_step, mode.n, resolution)[mode.n]
-    minus = _discrete_sigmas(mode, lam_j - fd_step, mode.n, resolution)[mode.n]
+    plus, minus = (_discrete_sigmas(mode, lam, mode.n,
+                                    constant_operator(mode.axis, lam, resolution))[mode.n]
+                   for lam in (lam_j + fd_step, lam_j - fd_step))
     slope = (plus - minus) / (2.0 * fd_step)
     closed = sigma_prime_closed_form(root)
     if slope == 0.0 or np.sign(slope) != np.sign(closed):
@@ -111,7 +122,8 @@ def check_cr_hypotheses(mode, truncation=16, resolution=(64, 64),
                          gap, float(slope), closed, True,
                          details={"sigmas": sig.tolist(),
                                   "resolution": parse_resolution(resolution),
-                                  "truncation": truncation})
+                                  "truncation": truncation},
+                         lambda_field=fld_j)
 
 
 @dataclass
@@ -166,21 +178,32 @@ def _profile_from_state(mode, x, s, truncation):
 
 
 def _residual(mode, x, s, truncation, resolution):
+    """Projected flux equations at state x, their field and factorized operator."""
     profile = _profile_from_state(mode, x, s, truncation)
-    fld = solve_torsion(profile, resolution)
+    operator = TubeOperator(profile, *parse_resolution(resolution))
+    fld = torsion_field(operator)
     coeffs, _ = cosine_coefficients(fld.neumann)
-    return coeffs[1:truncation + 1].copy(), fld
+    return coeffs[1:truncation + 1].copy(), fld, operator
+
+
+def _jacobian(operator, fld, truncation, free_modes):
+    """Exact Jacobian of the projected flux equations in (lambda, b_m)."""
+    tangents = flux_tangents(operator, fld, [0] + free_modes)
+    return np.column_stack([cosine_coefficients(col)[0][1:truncation + 1]
+                            for col in tangents.T])
 
 
 def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
-                 newton_tol=1e-10, max_newton=12, certificate=None,
-                 jacobian_step=1e-6):
+                 newton_tol=1e-10, max_newton=12, certificate=None):
     """Trace the bifurcating branch up to amplitude ``s_max``.
 
     Amplitudes are the uniform grid k * s_max/n_steps.  Each point is
     solved by Newton iteration on the projected flux equations; the
-    Jacobian is assembled by forward differences (one PDE solve per
-    unknown) and kept frozen within a point.  The first correction at each
+    Jacobian is the exact tangent of the discrete flux map, all of its
+    columns back-solved on the factorization the residual at the current
+    iterate already built, and is kept frozen within a point.  The s = 0
+    point reuses the certificate's lambda_j field when the resolutions
+    agree.  The first correction at each
     new amplitude uses the diagonal Lyapunov-Schmidt preconditioner built
     from the resolvent denominators, which is nearly exact close to the
     bifurcation point.  A point whose iteration diverges, or whose line
@@ -198,13 +221,15 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
                 "truncation": int(truncation), "newton_tol": float(newton_tol),
                 "max_newton": int(max_newton)}
 
-    fld0 = solve_torsion(BoundaryProfile.constant(mode.axis, lam_j), resolution)
+    fld0 = certificate.lambda_field
+    if fld0 is None or certificate.details["resolution"] != settings["resolution"]:
+        fld0 = solve_torsion(BoundaryProfile.constant(mode.axis, lam_j), resolution)
     points = [_make_point(mode, 0.0, np.concatenate([[lam_j], np.zeros(n_free)]),
                           truncation, fld0, 0)]
 
     def newton(x0, amplitude):
         return _newton_solve(mode, x0, amplitude, truncation, resolution, newton_tol,
-                             max_newton, jacobian_step, certificate)
+                             max_newton, certificate)
 
     x = np.concatenate([[lam_j], np.zeros(n_free)])
     x_prev = None
@@ -216,6 +241,10 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
             try:
                 x_new, fld, iters = newton(pred, s)
             except NumericalError:
+                # retry outside the handler: the caught traceback keeps the
+                # failed attempt's frames, and with them its operator, alive
+                x_new = None
+            if x_new is None:
                 x_half, _, _ = newton(x, s - 0.5 * s_max / n_steps)
                 x_new, fld, iters = newton(x_half, s)
         except NumericalError as exc:
@@ -233,10 +262,9 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
     return BranchRun(mode, points, settings, termination, certificate)
 
 
-def _newton_solve(mode, x0, s, truncation, resolution, tol, max_iter,
-                  jac_step, certificate):
+def _newton_solve(mode, x0, s, truncation, resolution, tol, max_iter, certificate):
     x = x0.copy()
-    res, fld = _residual(mode, x, s, truncation, resolution)
+    res, fld, operator = _residual(mode, x, s, truncation, resolution)
     jac = None
     iters = 0
     free_modes = [m for m in range(1, truncation + 1) if m != mode.n]
@@ -246,22 +274,27 @@ def _newton_solve(mode, x0, s, truncation, resolution, tol, max_iter,
             raise NumericalError(
                 f"no convergence in {max_iter} iterations at s={s:.5f} "
                 f"(residual {np.max(np.abs(res)):.3e})")
-        if iters == 1 and s * abs(certificate.closed_form_slope) > 10.0 * tol:
+        ls_step = iters == 1 and s * abs(certificate.closed_form_slope) > 10.0 * tol
+        if jac is None and not ls_step:
+            jac = _jacobian(operator, fld, truncation, free_modes)
+        # only the Jacobian needs the factorized operator: free it before the
+        # step allocates and before the line search assembles the next one
+        operator = None
+        if ls_step:
             delta = _ls_preconditioned_step(mode, res, s, truncation, certificate,
                                             free_modes)
         else:
-            if jac is None:
-                jac = _fd_jacobian(mode, x, s, truncation, resolution, res, jac_step)
             try:
                 delta = np.linalg.solve(jac, -res)
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"singular branch Jacobian at s={s:.5f}: {exc}")
         step = 1.0
         for _ in range(5):
-            res_new, fld_new = _residual(mode, x + step * delta, s, truncation,
-                                         resolution)
+            res_new, fld_new, operator = _residual(mode, x + step * delta, s,
+                                                   truncation, resolution)
             if np.max(np.abs(res_new)) < np.max(np.abs(res)):
                 break
+            operator = None
             step *= 0.5
         else:
             raise NumericalError(
@@ -287,16 +320,6 @@ def _ls_preconditioned_step(mode, res, s, truncation, certificate, free_modes):
     for i, m in enumerate(free_modes):
         delta[1 + i] = -corr.coefficient(m)
     return delta
-
-
-def _fd_jacobian(mode, x, s, truncation, resolution, res0, h):
-    jac = np.empty((truncation, truncation))
-    for col in range(truncation):
-        xp = x.copy()
-        xp[col] += h
-        res_p, _ = _residual(mode, xp, s, truncation, resolution)
-        jac[:, col] = (res_p - res0) / h
-    return jac
 
 
 def _make_point(mode, s, x, truncation, fld, iters):

@@ -143,6 +143,7 @@ class TubeOperator:
         self.axis_shift = int(axis_shift) % self.m_angles
         self._assemble()
         self._lu = None
+        self._row_norm = None
 
     # -- assembly -------------------------------------------------------
     def _assemble(self):
@@ -175,9 +176,10 @@ class TubeOperator:
 
         # columns of each extended node: a reflected node (radial row < 0)
         # is the mirrored row with the axis shift, and the boundary node
-        # (radial row n_t) lands on the m columns past n
-        karr = np.arange(m)
-        radial = np.arange(-hw, n_t + 1)[:, None]
+        # (radial row n_t) lands on the m columns past n; 32-bit indices are
+        # what the CSC result stores, and they halve the COO index arrays
+        karr = np.arange(m, dtype=np.int32)
+        radial = np.arange(-hw, n_t + 1, dtype=np.int32)[:, None]
         colmap = np.where(radial < 0, (-1 - radial) * m + (karr + self.axis_shift) % m,
                           radial * m + karr)
 
@@ -202,6 +204,9 @@ class TubeOperator:
         full = sparse.coo_matrix(
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n, n + m)).tocsc()
+        # kept for derivatives(), which applies the same stencils to a field
+        self._w1, self._w2, self._lows, self._colmap = w1, w2, lows, colmap
+        self._d1a, self._d2a = d1a, d2a
         # views of the first n columns, which a full[:, :n] slice would copy
         nnz = full.indptr[n]
         self.matrix = sparse.csc_matrix(
@@ -248,9 +253,26 @@ class TubeOperator:
                                    (self.n_t, m)).ravel()
         bc = np.broadcast_to(np.asarray(boundary_values, dtype=float), (m,))
         r = self.matrix @ u.ravel() + self.boundary_matrix @ bc - rhs_full
-        scale = np.abs(self.matrix).sum(axis=1).max() * np.abs(u).max() \
-            + np.abs(rhs_full).max() + 1e-300
+        if self._row_norm is None:
+            self._row_norm = np.abs(self.matrix).sum(axis=1).max()
+        scale = self._row_norm * np.abs(u).max() + np.abs(rhs_full).max() + 1e-300
         return float(np.max(np.abs(r)) / scale)
+
+    def derivatives(self, u, boundary_values):
+        """Discrete (u_t, u_tt, u_aa, u_ta) of a field, each (n_t, M).
+
+        The assembly's own stencils, so that
+        g^tt u_tt + 2 g^ta u_ta + g^aa u_aa + c_t u_t reproduces
+        ``matrix @ u + boundary_matrix @ boundary_values`` row by row.
+        """
+        m = self.m_angles
+        bc = np.broadcast_to(np.asarray(boundary_values, dtype=float), (m,))
+        u = np.asarray(u, dtype=float).reshape(self.n_t, m)
+        nodes = np.concatenate([u.ravel(), bc])[self._colmap]
+        windows = nodes[self._lows[:, None] + np.arange(self._w1.shape[1])]
+        u_t = np.einsum("ij,ijk->ik", self._w1, windows)
+        u_tt = np.einsum("ij,ijk->ik", self._w2, windows)
+        return u_t, u_tt, u @ self._d2a.T, u_t @ self._d1a.T
 
     def t_derivative_trace(self, u, boundary_values):
         """d u/d t on the boundary circle, via the one-sided stencil."""

@@ -33,7 +33,8 @@ from .fourier import CosineSeries, angle_grid, cosine_coefficients
 __all__ = [
     "Axis", "ModeIndex", "MetricAtPoint", "BoundaryProfile",
     "metric_lambda", "metric_phi", "volume", "boundary_area",
-    "neumann_weight", "laplacian_coefficients", "HALF_PI",
+    "neumann_weight", "neumann_weight_values", "laplacian_coefficients",
+    "laplacian_coefficient_values", "HALF_PI",
 ]
 
 HALF_PI = 0.5 * np.pi
@@ -275,8 +276,17 @@ def laplacian_coefficients(profile, t, angle):
     phi = np.asarray(profile.value(angle), dtype=float)[None, :]
     dphi = np.asarray(profile.slope(angle), dtype=float)[None, :]
     ddphi = np.asarray(profile.curvature(angle), dtype=float)[None, :]
+    return laplacian_coefficient_values(profile.axis, t, phi, dphi, ddphi)
+
+
+def laplacian_coefficient_values(axis, t, phi, dphi, ddphi):
+    """:func:`laplacian_coefficients` from the values phi, phi', phi''.
+
+    Purely elementwise on broadcastable arrays and free of casts, so complex
+    inputs carry complex-step derivatives through it.
+    """
     s, c = np.sin(t * phi), np.cos(t * phi)
-    if profile.axis is Axis.XI:
+    if axis is Axis.XI:
         axis_fac, wall_fac = s, c        # sin collapses on the axis
     else:
         axis_fac, wall_fac = c, s        # roles swap: eta-circle collapses
@@ -347,7 +357,10 @@ def neumann_weight(profile, angle):
     with sin in place of cos for an eta-profile; a constant profile gives
     1/lam, the straight-tube normal 1/lam * d/dt.
     """
-    phi = profile.value(angle)
-    dphi = profile.slope(angle)
-    wall = np.cos(phi) if profile.axis is Axis.XI else np.sin(phi)
+    return neumann_weight_values(profile.axis, profile.value(angle), profile.slope(angle))
+
+
+def neumann_weight_values(axis, phi, dphi):
+    """:func:`neumann_weight` from the values phi and phi'; complex-step safe."""
+    wall = np.cos(phi) if axis is Axis.XI else np.sin(phi)
     return np.sqrt(dphi ** 2 + wall ** 2) / (phi * wall)

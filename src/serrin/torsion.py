@@ -11,6 +11,11 @@ for a single-angle boundary profile, extracts the Neumann data
 and measures how far the domain is from being a Serrin domain (constant
 normal derivative).  The discretization lives in :mod:`serrin.discrete`;
 everything here is deterministic, one direct sparse solve per field.
+
+The derivative of the discrete H along profile perturbations is exact: the
+operator is linear in the Laplace-Beltrami coefficients, so differentiating
+A(phi) u = -1 gives A du = -(dA) u, solved on the factorization that
+produced u.
 """
 
 from dataclasses import dataclass, field
@@ -19,12 +24,16 @@ import numpy as np
 
 from .discrete import GRADING, HALF_WIDTH, TubeOperator
 from .errors import ConfigError, NumericalError
-from .geometry import BoundaryProfile, boundary_area_element, neumann_weight
+from .geometry import (BoundaryProfile, boundary_area_element, laplacian_coefficient_values,
+                       neumann_weight, neumann_weight_values)
 
-__all__ = ["TorsionField", "solve_torsion", "serrin_defect", "mean_flux",
-           "parse_resolution"]
+__all__ = ["TorsionField", "solve_torsion", "torsion_field", "flux_tangents",
+           "serrin_defect", "mean_flux", "parse_resolution"]
 
 RESIDUAL_CAP = 1e-10
+# imaginary step of the coefficient derivatives: a complex step has no
+# subtractive cancellation, so any step far below the roundoff level works
+COMPLEX_STEP = 1e-30
 
 
 def parse_resolution(resolution):
@@ -68,25 +77,75 @@ def solve_torsion(profile, resolution=(64, 64), angle_scheme="fourier"):
     angle_scheme : {'fourier', 'fd2'}
         Angle coupling of the assembled operator (see :mod:`serrin.discrete`).
 
-    Each call assembles and factorizes its own operator.  The scaled
-    residual of the direct solve is recorded and must stay below 1e-10,
-    else a :class:`NumericalError` is raised.
+    Each call assembles and factorizes its own operator; see
+    :func:`torsion_field` for the residual check.
     """
     n_t, m = parse_resolution(resolution)
     if n_t < 16 or m < 16:
         raise ConfigError(f"resolution must be at least 16x16, got {n_t}x{m}")
     profile.validate()
-    operator = TubeOperator(profile, n_t, m, angle_scheme=angle_scheme)
+    return torsion_field(TubeOperator(profile, n_t, m, angle_scheme=angle_scheme))
+
+
+def torsion_field(operator):
+    """Torsion field of the profile an assembled operator was built for.
+
+    Factorizes the operator unless it already is.  The scaled residual of
+    the direct solve is recorded and must stay below 1e-10, else a
+    :class:`NumericalError` is raised.
+    """
     u = operator.solve(-1.0, 0.0)
     residual = operator.scaled_residual(u, -1.0, 0.0)
     if residual > RESIDUAL_CAP:
         raise NumericalError(
             f"direct solve residual {residual:.3e} exceeds {RESIDUAL_CAP:.0e}")
     du = operator.t_derivative_trace(u, 0.0)
-    h_vals = neumann_weight(profile, operator.angles) * du
-    return TorsionField(profile, operator.t, operator.angles, u, h_vals, residual,
-                        meta={"resolution": (n_t, m), "half_width": HALF_WIDTH,
-                              "beta": GRADING, "angle_scheme": angle_scheme})
+    h_vals = neumann_weight(operator.profile, operator.angles) * du
+    return TorsionField(operator.profile, operator.t, operator.angles, u, h_vals, residual,
+                        meta={"resolution": (operator.n_t, operator.m_angles),
+                              "half_width": HALF_WIDTH, "beta": GRADING,
+                              "angle_scheme": operator.angle_scheme})
+
+
+def flux_tangents(operator, fld, modes):
+    """Derivatives of the Neumann samples along the profile directions cos(m .).
+
+    ``fld`` is :func:`torsion_field` of ``operator``.  Column i of the
+    (M, len(modes)) result is dH/dc_m for m = modes[i]:
+
+        dH = dw * u_t(1) + w * du_t(1),   A du = -(dA) u,
+        (dA) u = dg^tt u_tt + 2 dg^ta u_ta + dg^aa u_aa + dc_t u_t,
+
+    where phi, phi', phi'' move along cos(m a), -m sin(m a), -m^2 cos(m a).
+    The coefficients depend pointwise on (phi, phi', phi''), so three
+    complex steps give their partials, and each direction combines them.
+    All directions share the operator's factorization in one back-solve.
+    """
+    prof, ang, h = operator.profile, operator.angles, COMPLEX_STEP
+    u_t, u_tt, u_aa, u_ta = operator.derivatives(fld.u, 0.0)
+    values = (prof.value(ang), prof.slope(ang), prof.curvature(ang))
+    # partials of (A u) and of w in phi, phi' and phi'', node by node
+    partial_au, partial_w = [], []
+    for i in range(3):
+        stepped = [v + 1j * h if j == i else v for j, v in enumerate(values)]
+        gtt, gta, gaa, _, ct = laplacian_coefficient_values(prof.axis, operator.t[:, None],
+                                                            *stepped)
+        au = gtt * u_tt + 2.0 * gta * u_ta + gaa * u_aa + ct * u_t
+        partial_au.append(np.imag(au) / h)
+        partial_w.append(np.imag(neumann_weight_values(prof.axis, *stepped[:2])) / h)
+    rhs = np.empty((fld.u.size, len(modes)), order="F")
+    dw = np.empty((len(modes), ang.size))
+    for i, m in enumerate(modes):
+        direction = (np.cos(m * ang), -m * np.sin(m * ang), -m * m * np.cos(m * ang))
+        rhs[:, i] = -sum(p * d for p, d in zip(partial_au, direction)).ravel()
+        dw[i] = sum(p * d for p, d in zip(partial_w, direction))
+    du = operator.lu.solve(rhs)
+    if not np.all(np.isfinite(du)):
+        raise NumericalError("tangent solve produced non-finite values")
+    du_trace = np.array([operator.t_derivative_trace(col.reshape(fld.u.shape), 0.0)
+                         for col in du.T])
+    u_trace = operator.t_derivative_trace(fld.u, 0.0)
+    return (dw * u_trace + neumann_weight(prof, ang) * du_trace).T
 
 
 def mean_flux(fld):

@@ -1,7 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from serrin import branch
+from serrin import branch, discrete
 from serrin.errors import DomainValidationError, NumericalError
 from serrin.fourier import CosineSeries
 from serrin.geometry import Axis, BoundaryProfile, ModeIndex
@@ -10,6 +12,35 @@ from serrin.linearize import apply_L, constant_operator
 from serrin.torsion import serrin_defect, solve_torsion
 
 XI, ETA = Axis.XI, Axis.ETA
+
+
+def _fd_jacobian(mode, x, s, truncation, resolution, h):
+    """Central-difference Jacobian of the projected flux equations: the oracle."""
+    jac = np.empty((truncation, truncation))
+    for col in range(truncation):
+        step = np.zeros(truncation)
+        step[col] = h
+        res_p = branch._residual(mode, x + step, s, truncation, resolution)[0]
+        res_m = branch._residual(mode, x - step, s, truncation, resolution)[0]
+        jac[:, col] = (res_p - res_m) / (2.0 * h)
+    return jac
+
+
+@pytest.fixture()
+def factorizations(monkeypatch):
+    """Per factorization during the test: how many factorized operators lived on."""
+    live = weakref.WeakSet()
+    alive_before = []
+    fget = discrete.TubeOperator.lu.fget
+
+    def lu(op):
+        if op._lu is None:
+            alive_before.append(len(live))
+            live.add(op)
+        return fget(op)
+
+    monkeypatch.setattr(discrete.TubeOperator, "lu", property(lu))
+    return alive_before
 
 
 @pytest.fixture(scope="module")
@@ -87,11 +118,47 @@ class TestBranch:
                            certificate=cert_xi2)
         assert all(p.defect < 1e-6 for p in run.points)
 
+    def test_one_point_costs_at_most_four_factorizations(self, cert_xi2, factorizations):
+        run = trace_branch(ModeIndex(XI, 2), s_max=0.005, n_steps=1,
+                           resolution=(48, 32), truncation=12, certificate=cert_xi2)
+        assert run.points[-1].defect < 1e-6
+        assert 0 < len(factorizations) <= 4
+        # each operator is released before the next one factorizes
+        assert max(factorizations) == 0
+
+    def test_start_reuses_the_certificate_field(self, cert_xi2, monkeypatch):
+        built = []
+        init = discrete.TubeOperator.__init__
+
+        def record(op, profile, *args, **kwargs):
+            built.append(profile)
+            init(op, profile, *args, **kwargs)
+
+        monkeypatch.setattr(discrete.TubeOperator, "__init__", record)
+        run = trace_branch(ModeIndex(XI, 2), s_max=0.005, n_steps=1,
+                           resolution=(48, 32), truncation=12, certificate=cert_xi2)
+        assert built and not any(p.is_constant for p in built)
+        assert np.array_equal(run.points[0].neumann, cert_xi2.lambda_field.neumann)
+
     def test_refinement_stability_of_lambda(self, cert_xi2):
         kwargs = dict(s_max=0.01, n_steps=1, truncation=8, certificate=cert_xi2)
         coarse = trace_branch(ModeIndex(XI, 2), resolution=(40, 32), **kwargs)
         fine = trace_branch(ModeIndex(XI, 2), resolution=(80, 32), **kwargs)
         assert abs(coarse.points[-1].lam - fine.points[-1].lam) < 1e-7
+
+
+class TestTangentJacobian:
+    @pytest.mark.parametrize("axis", [XI, ETA])
+    def test_matches_central_differences(self, axis, lambda_roots):
+        mode, truncation, resolution = ModeIndex(axis, 2), 8, (48, 32)
+        x = np.concatenate([[lambda_roots[(axis, 2)].lambda_n + 0.01],
+                            0.002 * np.arange(1, truncation) / truncation])
+        s = 0.01
+        _, fld, op = branch._residual(mode, x, s, truncation, resolution)
+        free_modes = [m for m in range(1, truncation + 1) if m != 2]
+        jac = branch._jacobian(op, fld, truncation, free_modes)
+        oracle = _fd_jacobian(mode, x, s, truncation, resolution, 1e-4)
+        assert np.max(np.abs(jac - oracle)) < 1e-5 * np.max(np.abs(jac))
 
 
 class TestFailurePaths:
@@ -100,17 +167,17 @@ class TestFailurePaths:
         calls = []
 
         def residual(mode, x, s, truncation, resolution):
-            res, fld = real(mode, x, s, truncation, resolution)
+            res, fld, op = real(mode, x, s, truncation, resolution)
             calls.append(x)
             if len(calls) > 1:          # every trial step: no descent
                 res = res + 1.0
-            return res, fld
+            return res, fld, op
 
         monkeypatch.setattr(branch, "_residual", residual)
         x0 = np.concatenate([[cert_xi2.lambda_j], np.zeros(7)])
         with pytest.raises(NumericalError, match="five step halvings"):
             branch._newton_solve(ModeIndex(XI, 2), x0, 0.005, 8, (48, 32),
-                                 1e-10, 12, 1e-6, cert_xi2)
+                                 1e-10, 12, cert_xi2)
         assert len(calls) == 6
 
     def test_band_exit_during_retry_ends_the_run(self, cert_xi2, monkeypatch):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from serrin.errors import ConfigError, DomainValidationError
-from serrin.geometry import Axis, BoundaryProfile, boundary_area, volume
+from serrin.discrete import TubeOperator
+from serrin.errors import ConfigError, DomainValidationError, NumericalError
+from serrin.geometry import (Axis, BoundaryProfile, boundary_area, laplacian_coefficients,
+                             volume)
 from serrin.radial import radial_flux, radial_torsion
 from serrin.geometry import ModeIndex
-from serrin.torsion import (mean_flux, parse_resolution, serrin_defect,
-                            solve_torsion)
+from serrin.torsion import (flux_tangents, mean_flux, parse_resolution, serrin_defect,
+                            solve_torsion, torsion_field)
 
 # frozen from the reference run at 64x64; guards against silent drift
 DEFECT_BASELINE_08_005 = 4.8576425349e-03
@@ -119,6 +121,30 @@ class TestAngleSchemes:
         b = solve_torsion(prof, (48, 96), angle_scheme="fourier")
         # second-order angle coupling converges to the spectral answer
         assert np.max(np.abs(a.neumann - b.neumann)) < 5e-4
+
+
+class TestDiscreteDerivatives:
+    @pytest.mark.parametrize("scheme", ["fourier", "fd2"])
+    @pytest.mark.parametrize("axis", [Axis.XI, Axis.ETA])
+    def test_coefficients_times_derivatives_reproduce_the_matrix(self, axis, scheme):
+        # a perturbed profile exercises the cross term, eta the axis shift
+        prof = BoundaryProfile(axis, [0.9, 0.03, 0.05, 0.0, 0.01])
+        op = TubeOperator(prof, 40, 32, angle_scheme=scheme)
+        u = np.sin(3.0 * op.t)[:, None] * (1.0 + 0.3 * np.cos(op.angles)
+                                           + 0.2 * np.sin(2.0 * op.angles))[None, :]
+        bc = 0.5 + np.cos(op.angles)
+        u_t, u_tt, u_aa, u_ta = op.derivatives(u, bc)
+        gtt, gta, gaa, _, ct = laplacian_coefficients(prof, op.t, op.angles)
+        lhs = gtt * u_tt + 2.0 * gta * u_ta + gaa * u_aa + ct * u_t
+        rhs = (op.matrix @ u.ravel() + op.boundary_matrix @ bc).reshape(u.shape)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
+
+    def test_non_finite_tangent_solve_is_a_numerical_error(self):
+        op = TubeOperator(BoundaryProfile(Axis.XI, [0.8, 0.0, 0.05]), 24, 16)
+        fld = torsion_field(op)
+        fld.u[3, 5] = np.nan
+        with pytest.raises(NumericalError, match="tangent solve"):
+            flux_tangents(op, fld, [0, 2])
 
 
 class TestEtaAxisBehavior:
