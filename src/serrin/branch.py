@@ -24,14 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrete import TubeOperator
+from .discrete import StraightTubeOperator, TubeOperator
 from .errors import AnalysisError, DomainValidationError, NumericalError
 from .fourier import CosineSeries, cosine_coefficients
 from .geometry import BoundaryProfile, ModeIndex, boundary_area, volume
-from .linearize import apply_L, constant_operator, resolvent_apply
+from .linearize import apply_L, resolvent_apply
 from .spectrum import find_lambda_n, sigma_prime_closed_form
 from .torsion import (TorsionField, flux_tangents, mean_flux, parse_resolution,
-                      serrin_defect, solve_torsion, torsion_field)
+                      serrin_defect, torsion_field)
 
 __all__ = ["CRCertificate", "BranchPoint", "BranchRun", "BranchReport",
            "check_cr_hypotheses", "trace_branch", "branch_report"]
@@ -62,7 +62,7 @@ def _discrete_sigmas(mode, lam, truncation, operator):
     out = np.empty(truncation + 1)
     for m in range(truncation + 1):
         la = apply_L(lam, CosineSeries.basis(m), axis=mode.axis, operator=operator)
-        out[m] = la.series.coefficient(m) if m > 0 else la.series.coefficient(0)
+        out[m] = la.series.coefficient(m)
     return out
 
 
@@ -76,52 +76,63 @@ def check_cr_hypotheses(mode, truncation=16, resolution=(64, 64),
     ``kernel_tol``, namely mode j; (iii) every other eigenvalue stays beyond
     ``gap_floor`` (codimension-one range); (iv) the kernel eigenvalue
     crosses zero transversally, with the sign of the closed-form slope.
-    Any failure raises :class:`AnalysisError` naming the item.
+    Every straight-tube solve, the torsion fields of (i) and the discrete
+    eigenvalues alike, goes through the mode-diagonal
+    :class:`~serrin.discrete.StraightTubeOperator`.  Any failure raises
+    :class:`AnalysisError` naming the item; its ``details`` hold lambda_j,
+    the resolution, the truncation, the trivial defect and the ``sigmas``
+    computed so far.
     """
     mode = ModeIndex.coerce(mode)
+    n_t, m_angles = parse_resolution(resolution)
     root = find_lambda_n(mode)
     lam_j = root.lambda_n
+    details = {"lambda_j": lam_j, "resolution": (n_t, m_angles), "truncation": truncation,
+               "trivial_defect": None, "sigmas": []}
+
+    def failure(message):
+        err = AnalysisError(message)
+        err.details = details
+        return err
+
+    def straight(lam):
+        return StraightTubeOperator(mode.axis, lam, n_t, m_angles)
 
     trivial = 0.0
     for factor in (0.95, 1.05):
-        fld = solve_torsion(BoundaryProfile.constant(mode.axis, factor * lam_j),
-                            resolution)
-        trivial = max(trivial, serrin_defect(fld))
+        trivial = max(trivial, serrin_defect(torsion_field(straight(factor * lam_j))))
     # one operator at lambda_j serves the trivial-branch solve and the sigmas
-    op_j = constant_operator(mode.axis, lam_j, resolution)
+    op_j = straight(lam_j)
     fld_j = torsion_field(op_j)
-    trivial = max(trivial, serrin_defect(fld_j))
+    trivial = details["trivial_defect"] = max(trivial, serrin_defect(fld_j))
     if trivial > 1e-10:
-        raise AnalysisError(
-            f"hypothesis (i) trivial branch: straight-tube defect {trivial:.3e}")
+        raise failure(f"hypothesis (i) trivial branch: straight-tube defect {trivial:.3e}")
 
     sig = _discrete_sigmas(mode, lam_j, truncation, op_j)
-    del op_j        # free its LU before the two operators below factorize
+    details["sigmas"] = sig.tolist()
     below = np.flatnonzero(np.abs(sig) < kernel_tol)
     if below.size != 1 or below[0] != mode.n:
-        raise AnalysisError(
+        raise failure(
             f"hypothesis (ii) kernel: modes {below.tolist()} below {kernel_tol:.0e}, "
             f"expected exactly [{mode.n}]")
     others = np.delete(np.abs(sig), mode.n)
     gap = float(np.min(others))
     if gap <= gap_floor:
-        raise AnalysisError(
-            f"hypothesis (iii) range: spectral gap {gap:.3e} <= {gap_floor:.0e}")
+        raise failure(f"hypothesis (iii) range: spectral gap {gap:.3e} <= {gap_floor:.0e}")
 
-    plus, minus = (_discrete_sigmas(mode, lam, mode.n,
-                                    constant_operator(mode.axis, lam, resolution))[mode.n]
+    plus, minus = (_discrete_sigmas(mode, lam, mode.n, straight(lam))[mode.n]
                    for lam in (lam_j + fd_step, lam_j - fd_step))
     slope = (plus - minus) / (2.0 * fd_step)
     closed = sigma_prime_closed_form(root)
     if slope == 0.0 or np.sign(slope) != np.sign(closed):
-        raise AnalysisError(
+        raise failure(
             f"hypothesis (iv) transversality: discrete slope {slope:.3e} vs "
             f"closed form {closed:.3e}")
 
     return CRCertificate(mode, lam_j, trivial, float(sig[mode.n]), int(below.size),
                          gap, float(slope), closed, True,
-                         details={"sigmas": sig.tolist(),
-                                  "resolution": parse_resolution(resolution),
+                         details={"sigmas": details["sigmas"],
+                                  "resolution": details["resolution"],
                                   "truncation": truncation},
                          lambda_field=fld_j)
 
@@ -223,7 +234,7 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
 
     fld0 = certificate.lambda_field
     if fld0 is None or certificate.details["resolution"] != settings["resolution"]:
-        fld0 = solve_torsion(BoundaryProfile.constant(mode.axis, lam_j), resolution)
+        fld0 = torsion_field(StraightTubeOperator(mode.axis, lam_j, *settings["resolution"]))
     points = [_make_point(mode, 0.0, np.concatenate([[lam_j], np.zeros(n_free)]),
                           truncation, fld0, 0)]
 

@@ -69,9 +69,12 @@ def harmonic_extend(lam, w, axis=Axis.XI, resolution=DEFAULT_RESOLUTION,
                     operator=None):
     """Harmonic extension of single-angle boundary data into the tube.
 
-    Goes through the same two-dimensional assembly as the torsion solver
-    (rather than per-mode radial solves), so cross-mode leakage of the
-    discrete operator is genuinely measured by the callers.
+    By default this goes through the same two-dimensional assembly as the
+    torsion solver, a :class:`~serrin.discrete.TubeOperator`, so callers that
+    pass one (or none) genuinely measure the cross-mode leakage of the
+    discrete operator.  A :class:`~serrin.discrete.StraightTubeOperator`
+    passed as ``operator`` gives the same field from per-mode radial solves,
+    which cannot leak by construction.
     """
     lam = float(lam)
     if not 0.0 < lam < HALF_PI:

@@ -90,7 +90,9 @@ def solve_torsion(profile, resolution=(64, 64), angle_scheme="fourier"):
 def torsion_field(operator):
     """Torsion field of the profile an assembled operator was built for.
 
-    Factorizes the operator unless it already is.  The scaled residual of
+    ``operator`` is a :class:`~serrin.discrete.TubeOperator`, factorized
+    here unless it already is, or, for a straight tube, a
+    :class:`~serrin.discrete.StraightTubeOperator`.  The scaled residual of
     the direct solve is recorded and must stay below 1e-10, else a
     :class:`NumericalError` is raised.
     """

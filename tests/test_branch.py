@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from serrin import branch, discrete
-from serrin.errors import DomainValidationError, NumericalError
+from serrin.errors import AnalysisError, DomainValidationError, NumericalError
 from serrin.fourier import CosineSeries
 from serrin.geometry import Axis, BoundaryProfile, ModeIndex
 from serrin.branch import branch_report, check_cr_hypotheses, trace_branch
@@ -67,6 +67,28 @@ class TestCertificate:
                                    resolution=(48, 32))
         assert cert.passed and cert.transversality_slope < 0.0
         assert cert.spectral_gap > 1e-2
+
+    def test_builds_no_two_dimensional_operator(self, monkeypatch):
+        calls = []
+        fget = discrete.TubeOperator.lu.fget
+
+        def lu(op):
+            calls.append(op)
+            return fget(op)
+
+        monkeypatch.setattr(discrete.TubeOperator, "lu", property(lu))
+        cert = check_cr_hypotheses(ModeIndex(XI, 2), truncation=8, resolution=(48, 32))
+        assert cert.passed and calls == []
+
+    def test_failure_carries_its_context(self):
+        with pytest.raises(AnalysisError, match="hypothesis \\(iii\\)") as info:
+            check_cr_hypotheses(ModeIndex(XI, 2), truncation=8, resolution=(48, 32),
+                                gap_floor=10.0)
+        details = info.value.details
+        assert len(details["sigmas"]) == 8 + 1
+        assert details["resolution"] == (48, 32) and details["truncation"] == 8
+        assert abs(details["lambda_j"] - np.pi / 4) < 1e-9
+        assert details["trivial_defect"] < 1e-10
 
     def test_kernel_check_fails_off_the_root(self, lambda_roots):
         # away from lambda_j no discrete eigenvalue is near zero: the

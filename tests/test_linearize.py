@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from serrin.errors import DomainValidationError
+from serrin.discrete import StraightTubeOperator
+from serrin.errors import ConfigError, DomainValidationError
 from serrin.fourier import CosineSeries
 from serrin.geometry import Axis, ModeIndex
 from serrin.linearize import (apply_L, constant_operator, fd_derivative_H,
@@ -9,6 +10,7 @@ from serrin.linearize import (apply_L, constant_operator, fd_derivative_H,
                               spectral_decomposition)
 from serrin.modes import solve_l
 from serrin.spectrum import sigma
+from serrin.torsion import RESIDUAL_CAP, torsion_field
 
 XI, ETA = Axis.XI, Axis.ETA
 
@@ -61,6 +63,43 @@ class TestApplyL:
         point = lambda_roots[(XI, 2)]
         la = apply_L(point.lambda_n, CosineSeries.basis(2), axis=XI)
         assert np.max(np.abs(la.samples)) < 1e-6
+
+
+def _discrete_sigma(la, n):
+    """Cosine coefficient n of apply_L samples, the Nyquist mode included."""
+    m = la.angles.size
+    return la.samples @ np.cos(n * la.angles) * (1.0 if n in (0, m // 2) else 2.0) / m
+
+
+class TestStraightTubeOperator:
+    """The mode-diagonal solver against the 2-D assembly it replaces."""
+
+    @pytest.mark.parametrize("axis", [XI, ETA])
+    @pytest.mark.parametrize("lam", [0.3, 0.8, 1.3])
+    def test_matches_the_two_dimensional_operator(self, axis, lam):
+        for (n_t, m), n_max in (((64, 64), 16), ((256, 48), 8)):
+            fast = StraightTubeOperator(axis, lam, n_t, m)
+            slow = constant_operator(axis, lam, (n_t, m))
+            row_norm = np.abs(slow.matrix).sum(axis=1).max()
+            assert abs(fast.row_norm - row_norm) <= 1e-12 * row_norm
+            for n in [*range(n_max + 1), m // 2]:
+                basis = CosineSeries.basis(n)
+                got = _discrete_sigma(apply_L(lam, basis, axis=axis, operator=fast), n)
+                want = _discrete_sigma(apply_L(lam, basis, axis=axis, operator=slow), n)
+                assert abs(got - want) < 1e-9, f"{axis} lam={lam} {n_t}x{m} n={n}"
+            u_fast, u_slow = torsion_field(fast).u, torsion_field(slow).u
+            assert np.max(np.abs(u_fast - u_slow)) < 1e-10
+
+    @pytest.mark.parametrize("axis", [XI, ETA])
+    def test_residual_catches_a_wrong_field(self, axis):
+        fast = StraightTubeOperator(axis, 0.8, 48, 32)
+        u = fast.solve(-1.0, 0.0)
+        assert fast.scaled_residual(u, -1.0, 0.0) < RESIDUAL_CAP
+        assert fast.scaled_residual(u + 1e-6, -1.0, 0.0) > RESIDUAL_CAP
+
+    def test_odd_angle_count_is_rejected(self):
+        with pytest.raises(ConfigError):
+            StraightTubeOperator(XI, 0.8, 48, 31)
 
 
 class TestFdDerivative:
