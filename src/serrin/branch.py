@@ -12,8 +12,9 @@ solve the projected equations
 
     P_m [ H(phi_s) ] = 0   for 1 <= m <= truncation,
 
-by Newton iteration with the exact tangent-linear Jacobian of the discrete
-flux map (:func:`serrin.torsion.flux_tangents`); the mean flux is left
+by Newton iteration; every step solves with the exact tangent-linear
+Jacobian of the discrete flux map (:func:`serrin.torsion.flux_tangents`),
+taken once per point at its predictor.  The mean flux is left
 free (a constant flux offset is absorbed by lambda, so the mean-mode
 equation and unknown are both dropped).  Before tracing, the bifurcation
 hypotheses are certified numerically: trivial branch, one-dimensional
@@ -28,7 +29,7 @@ from .discrete import StraightTubeOperator, TubeOperator
 from .errors import AnalysisError, DomainValidationError, NumericalError
 from .fourier import CosineSeries, cosine_coefficients
 from .geometry import BoundaryProfile, ModeIndex, boundary_area, volume
-from .linearize import apply_L, resolvent_apply
+from .linearize import apply_L
 from .spectrum import find_lambda_n, sigma_prime_closed_form
 from .torsion import (TorsionField, flux_tangents, mean_flux, parse_resolution,
                       serrin_defect, torsion_field)
@@ -209,18 +210,18 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
     """Trace the bifurcating branch up to amplitude ``s_max``.
 
     Amplitudes are the uniform grid k * s_max/n_steps.  Each point is
-    solved by Newton iteration on the projected flux equations; the
-    Jacobian is the exact tangent of the discrete flux map, all of its
-    columns back-solved on the factorization the residual at the current
-    iterate already built, and is kept frozen within a point.  The s = 0
-    point reuses the certificate's lambda_j field when the resolutions
-    agree.  The first correction at each
-    new amplitude uses the diagonal Lyapunov-Schmidt preconditioner built
-    from the resolvent denominators, which is nearly exact close to the
-    bifurcation point.  A point whose iteration diverges, or whose line
-    search cannot lower the residual in five halvings, is retried from
-    the half-amplitude; a second failure aborts with the last good point.
-    Profiles leaving the admissible band terminate the run with a reason.
+    solved by Newton iteration on the projected flux equations from the
+    secant predictor.  The Jacobian is the exact tangent of the discrete
+    flux map at the predictor, all of its columns back-solved on the
+    factorization the residual there already built, and is kept frozen
+    within the point.  The s = 0 point reuses the certificate's lambda_j
+    field when the resolutions agree.  A point whose iteration diverges,
+    or whose line search cannot lower the residual in five halvings, is
+    retried from the half-amplitude; a second failure raises
+    :class:`NumericalError` with the run so far as ``partial_run`` and the
+    mode, failing amplitude, last good amplitude, resolution and
+    truncation as ``details``.  Profiles leaving the admissible band
+    terminate the run with a reason.
     """
     mode = ModeIndex.coerce(mode)
     if certificate is None:
@@ -240,7 +241,7 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
 
     def newton(x0, amplitude):
         return _newton_solve(mode, x0, amplitude, truncation, resolution, newton_tol,
-                             max_newton, certificate)
+                             max_newton)
 
     x = np.concatenate([[lam_j], np.zeros(n_free)])
     x_prev = None
@@ -263,6 +264,10 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
                 f"Newton failed at amplitude {s:.5f} even after step halving: {exc}")
             err.partial_run = BranchRun(mode, points, settings, "newton-failure",
                                         certificate)
+            err.details = {"mode": [mode.axis.value, mode.n], "s": s,
+                           "last_good_s": points[-1].s,
+                           "resolution": settings["resolution"],
+                           "truncation": settings["truncation"]}
             raise err
         except DomainValidationError as exc:
             termination = f"profile left the admissible band at s={s:.5f}: {exc}"
@@ -273,7 +278,7 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
     return BranchRun(mode, points, settings, termination, certificate)
 
 
-def _newton_solve(mode, x0, s, truncation, resolution, tol, max_iter, certificate):
+def _newton_solve(mode, x0, s, truncation, resolution, tol, max_iter):
     x = x0.copy()
     res, fld, operator = _residual(mode, x, s, truncation, resolution)
     jac = None
@@ -285,20 +290,15 @@ def _newton_solve(mode, x0, s, truncation, resolution, tol, max_iter, certificat
             raise NumericalError(
                 f"no convergence in {max_iter} iterations at s={s:.5f} "
                 f"(residual {np.max(np.abs(res)):.3e})")
-        ls_step = iters == 1 and s * abs(certificate.closed_form_slope) > 10.0 * tol
-        if jac is None and not ls_step:
+        if jac is None:
             jac = _jacobian(operator, fld, truncation, free_modes)
         # only the Jacobian needs the factorized operator: free it before the
         # step allocates and before the line search assembles the next one
         operator = None
-        if ls_step:
-            delta = _ls_preconditioned_step(mode, res, s, truncation, certificate,
-                                            free_modes)
-        else:
-            try:
-                delta = np.linalg.solve(jac, -res)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"singular branch Jacobian at s={s:.5f}: {exc}")
+        try:
+            delta = np.linalg.solve(jac, -res)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"singular branch Jacobian at s={s:.5f}: {exc}")
         step = 1.0
         for _ in range(5):
             res_new, fld_new, operator = _residual(mode, x + step * delta, s,
@@ -314,23 +314,6 @@ def _newton_solve(mode, x0, s, truncation, resolution, tol, max_iter, certificat
         x = x + step * delta
         res, fld = res_new, fld_new
     return x, fld, iters
-
-
-def _ls_preconditioned_step(mode, res, s, truncation, certificate, free_modes):
-    """Diagonal Lyapunov-Schmidt correction from the resolvent denominators.
-
-    The kernel-orthogonal block of the Jacobian is approximately
-    diag(sigma_m(lambda_j) - sigma_j(lambda_j)) = the resolvent denominators,
-    and the kernel equation responds to lambda with slope s * sigma_j'.
-    """
-    res_series = CosineSeries(np.concatenate([[0.0], res])).drop(mode.n)
-    corr = resolvent_apply(certificate.lambda_j, mode.n, res_series,
-                           axis=mode.axis, truncation=truncation)
-    delta = np.empty(truncation)
-    delta[0] = -res[mode.n - 1] / (s * certificate.closed_form_slope)
-    for i, m in enumerate(free_modes):
-        delta[1 + i] = -corr.coefficient(m)
-    return delta
 
 
 def _make_point(mode, s, x, truncation, fld, iters):

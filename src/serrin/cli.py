@@ -12,10 +12,12 @@ its configuration and writes files atomically.  Output goes under ``--out``
 or the ``SERRIN_OUT_DIR`` environment variable.
 
 Exit codes: 0 ok, 1 check failure, 2 configuration error, 3 numerical
-failure.
+failure.  A failure prints its message on stderr, followed by the error's
+``details`` (when it carries any) as one sorted-key JSON line.
 """
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -47,7 +49,7 @@ EXIT_NUMERICAL_FAILURE = 3
 def _axes(value):
     if value == "both":
         return [Axis.XI, Axis.ETA]
-    return [Axis(value)]
+    return [Axis.coerce(value)]
 
 
 def _out_dir(ns):
@@ -200,10 +202,10 @@ def cmd_solve(ns):
         with open(opts.profile_json) as handle:
             profile = BoundaryProfile.from_json(handle.read())
     elif opts.amplitude:
-        profile = BoundaryProfile.perturbed(Axis(opts.axis), opts.lam,
-                                            opts.mode, opts.amplitude)
+        profile = BoundaryProfile.perturbed(opts.axis, opts.lam, opts.mode,
+                                            opts.amplitude)
     else:
-        profile = BoundaryProfile.constant(Axis(opts.axis), opts.lam)
+        profile = BoundaryProfile.constant(opts.axis, opts.lam)
     fld = solve_torsion(profile, parse_resolution(opts.resolution))
     stem = os.path.join(out, "torsion_field")
     io.torsion_field_to_files(fld, stem)
@@ -227,7 +229,7 @@ def cmd_check_linearization(ns):
     opts = _merged(ns, CHECK_DEFAULTS)
     _check_lambda_range(opts.lam * 0.99, opts.lam * 1.01 + 1e-9)
     out = _out_dir(ns)
-    axis = Axis(opts.axis)
+    axis = Axis.coerce(opts.axis)
     table = fd_derivative_H(opts.lam, CosineSeries.basis(opts.mode), axis=axis,
                             resolution=parse_resolution(opts.resolution))
     io.write_csv(os.path.join(out, f"linearization_{axis.value}_n{opts.mode}.csv"),
@@ -261,7 +263,7 @@ def cmd_branch(ns):
         raise ConfigError(
             f"bifurcation needs a kernel mode with n >= 2, got {opts.mode}")
     out = _out_dir(ns)
-    axis = Axis(opts.axis)
+    axis = Axis.coerce(opts.axis)
     run = trace_branch(ModeIndex(axis, opts.mode), opts.smax, opts.steps,
                        resolution=parse_resolution(opts.resolution),
                        truncation=opts.truncation)
@@ -335,13 +337,13 @@ class _Injection:
         shift = None
         if self.axis_break:
             _, m = parse_resolution(resolution)
-            shift = m // 2 if Axis(axis) is Axis.XI else 0
+            shift = m // 2 if Axis.coerce(axis) is Axis.XI else 0
         return constant_operator(axis, lam, resolution, axis_shift=shift)
 
 
 def _battery(axis, inj):
     """Checks for one mode family; each returns a detail string or raises."""
-    axis = Axis(axis)
+    axis = Axis.coerce(axis)
     lam_ref = 0.8 if axis is Axis.XI else 1.0
     res = (48, 16)
 
@@ -558,14 +560,19 @@ def main(argv=None):
     try:
         return ns.func(ns)
     except (ConfigError, DomainValidationError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        return _failure("configuration error", exc, EXIT_CONFIG_ERROR)
     except (NumericalError, PrecisionError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_FAILURE
+        return _failure("numerical failure", exc, EXIT_NUMERICAL_FAILURE)
     except (AnalysisError, ConsistencyError) as exc:
-        print(f"check failure: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILURE
+        return _failure("check failure", exc, EXIT_CHECK_FAILURE)
+
+
+def _failure(label, exc, code):
+    print(f"{label}: {exc}", file=sys.stderr)
+    details = getattr(exc, "details", None)
+    if details:
+        print(json.dumps(details, sort_keys=True), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

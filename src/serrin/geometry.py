@@ -46,14 +46,15 @@ class Axis(str, Enum):
     XI = "xi"
     ETA = "eta"
 
-
-def _as_axis(axis):
-    if isinstance(axis, Axis):
-        return axis
-    try:
-        return Axis(str(axis).lower())
-    except ValueError:
-        raise DomainValidationError(f"unknown axis {axis!r}, expected 'xi' or 'eta'")
+    @classmethod
+    def coerce(cls, axis):
+        """Accept an Axis or its name in any case."""
+        if isinstance(axis, cls):
+            return axis
+        try:
+            return cls(str(axis).lower())
+        except ValueError:
+            raise DomainValidationError(f"unknown axis {axis!r}, expected 'xi' or 'eta'")
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class ModeIndex:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "axis", _as_axis(self.axis))
+        object.__setattr__(self, "axis", Axis.coerce(self.axis))
         try:
             valid = int(self.n) == self.n and self.n >= 0
         except (TypeError, ValueError):
@@ -125,7 +126,7 @@ class BoundaryProfile:
     """
 
     def __init__(self, axis, coeffs, check=True):
-        self.axis = _as_axis(axis)
+        self.axis = Axis.coerce(axis)
         self.series = coeffs if isinstance(coeffs, CosineSeries) else CosineSeries(coeffs)
         if check:
             self.validate()

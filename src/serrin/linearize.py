@@ -9,8 +9,8 @@ On a pure mode cos(n * angle) this returns sigma_n(lam) * cos(n * angle),
 which ties the discrete operator here to the ODE-based curves in
 :mod:`serrin.spectrum`; the finite-difference derivative of the full
 nonlinear H provides the end-to-end validation of that identity.  The
-diagonal structure also yields the truncated resolvent used by the
-branch-continuation preconditioner.
+diagonal structure also yields the truncated resolvent, which the
+``resolvent-roundtrip`` check of ``serrin verify`` inverts mode by mode.
 """
 
 from dataclasses import dataclass
@@ -79,6 +79,7 @@ def harmonic_extend(lam, w, axis=Axis.XI, resolution=DEFAULT_RESOLUTION,
     lam = float(lam)
     if not 0.0 < lam < HALF_PI:
         raise DomainValidationError(f"lambda must lie in (0, pi/2), got {lam}")
+    axis = Axis.coerce(axis)
     w = _as_series(w)
     op = operator if operator is not None else constant_operator(axis, lam, resolution)
     bc = w.samples(op.m_angles)
@@ -86,7 +87,7 @@ def harmonic_extend(lam, w, axis=Axis.XI, resolution=DEFAULT_RESOLUTION,
     residual = op.scaled_residual(fieldvals, 0.0, bc)
     if residual > 1e-10:
         raise NumericalError(f"harmonic extension residual {residual:.3e} too large")
-    return HarmonicExtension(lam, Axis(axis), w, op.t, op.angles, fieldvals,
+    return HarmonicExtension(lam, axis, w, op.t, op.angles, fieldvals,
                              op.t_derivative_trace(fieldvals, bc), residual)
 
 
@@ -137,7 +138,7 @@ class FDDerivativeTable:
 
 
 def fd_derivative_H(lam, w, axis=Axis.XI, steps=(1e-2, 1e-3, 1e-4, 1e-5),
-                    resolution=(64, 64), richardson_pairs=1):
+                    resolution=(64, 64)):
     """Directional derivative of the nonlinear flux map by central differences.
 
     Solves the torsion problem at profiles lam +/- h*w, forms
@@ -148,7 +149,7 @@ def fd_derivative_H(lam, w, axis=Axis.XI, steps=(1e-2, 1e-3, 1e-4, 1e-5),
     signals an inconsistent linearization rather than roundoff.
     """
     w = _as_series(w)
-    axis = Axis(axis)
+    axis = Axis.coerce(axis)
     steps = np.asarray(sorted(steps, reverse=True), dtype=float)
     scale = float(np.max(np.abs(w.samples(256)))) or 1.0
     for h in steps:
@@ -159,7 +160,6 @@ def fd_derivative_H(lam, w, axis=Axis.XI, steps=(1e-2, 1e-3, 1e-4, 1e-5),
                 f"step {h} pushes the profile outside the admissible band")
 
     reference = apply_L(lam, w, axis=axis, resolution=resolution)
-    m = reference.angles.size
 
     diffs = []
     for h in steps:
@@ -170,17 +170,14 @@ def fd_derivative_H(lam, w, axis=Axis.XI, steps=(1e-2, 1e-3, 1e-4, 1e-5),
         diffs.append((h_plus - h_minus) / (2.0 * h))
     diffs = np.asarray(diffs)
 
-    ref_samples = _resample(reference.samples, m)
-    deviations = np.max(np.abs(diffs - ref_samples[None, :]), axis=1)
+    deviations = np.max(np.abs(diffs - reference.samples[None, :]), axis=1)
     if deviations.size >= 2 and deviations[1] > deviations[0]:
         raise AnalysisError(
             "finite-difference derivative of H is not converging toward the "
             f"linearized operator (deviations {deviations[:2]})")
 
-    extrap = diffs[-1]
-    for _ in range(richardson_pairs):
-        r = steps[-2] / steps[-1]
-        extrap = (r ** 2 * diffs[-1] - diffs[-2]) / (r ** 2 - 1.0)
+    r = steps[-2] / steps[-1]
+    extrap = (r ** 2 * diffs[-1] - diffs[-2]) / (r ** 2 - 1.0)
     # fit the convergence order on the steps still above the roundoff floor
     # (the finest steps bottom out on solver noise divided by 2h)
     good = deviations > max(1e-8, 50.0 * deviations.min())
@@ -189,20 +186,13 @@ def fd_derivative_H(lam, w, axis=Axis.XI, steps=(1e-2, 1e-3, 1e-4, 1e-5),
         good[:2] = True
     slope = float(np.polyfit(np.log(steps[good]), np.log(deviations[good]), 1)[0])
     return FDDerivativeTable(lam, axis, w, steps, deviations, extrap,
-                             float(np.max(np.abs(extrap - ref_samples))), slope)
+                             float(np.max(np.abs(extrap - reference.samples))), slope)
 
 
 def _perturbed_profile(axis, lam, w, h):
     coeffs = h * w.coeffs.copy()
     coeffs[0] += lam
     return BoundaryProfile(axis, coeffs)
-
-
-def _resample(samples, m):
-    if samples.size == m:
-        return samples
-    coeffs, _ = cosine_coefficients(samples)
-    return CosineSeries(coeffs).samples(m)
 
 
 def resolvent_apply(lam, j, v, axis=Axis.XI, truncation=32):
@@ -212,6 +202,8 @@ def resolvent_apply(lam, j, v, axis=Axis.XI, truncation=32):
     sum_{m <= truncation, m != j} v_m / (sigma_m - sigma_j) cos(m .),
     the inverse of (L - sigma_j) on the complement of the kernel mode.
     Strict monotonicity of sigma_m in m keeps every denominator nonzero.
+    Each sigma_m comes from the mode ODE (:func:`serrin.spectrum.sigma`),
+    not from a PDE solve; ``serrin verify`` checks the round trip.
     """
     v = _as_series(v)
     if abs(v.coefficient(j)) >= 1e-12:
@@ -251,6 +243,7 @@ class SpectralDecomposition:
 
 def spectral_decomposition(lam, w, axis=Axis.XI, truncation=32):
     """Project boundary data on the cosine modes and attach sigma values."""
+    axis = Axis.coerce(axis)
     w = _as_series(w).truncated(truncation)
     eig = np.array([sigma(ModeIndex(axis, m), lam) for m in range(truncation + 1)])
-    return SpectralDecomposition(float(lam), Axis(axis), truncation, w.coeffs.copy(), eig)
+    return SpectralDecomposition(float(lam), axis, truncation, w.coeffs.copy(), eig)

@@ -224,7 +224,7 @@ def asymptotics_report(mode_or_axis, n_max=8, rtol=1e-10):
     The observed small-lambda limits (-1/2 for every xi mode, (n-1)/2 for
     eta modes) are reported but only their proved signs are enforced.
     """
-    axis = mode_or_axis.axis if isinstance(mode_or_axis, ModeIndex) else Axis(mode_or_axis)
+    axis = mode_or_axis.axis if isinstance(mode_or_axis, ModeIndex) else Axis.coerce(mode_or_axis)
     grid = chebyshev_grid(120, 0.05, 1.3)
     wall = HALF_PI - 1e-3
     checks = {}

@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from serrin import branch, discrete
+from serrin import branch, discrete, modes
 from serrin.errors import AnalysisError, DomainValidationError, NumericalError
 from serrin.fourier import CosineSeries
 from serrin.geometry import Axis, BoundaryProfile, ModeIndex
@@ -162,6 +162,14 @@ class TestBranch:
         assert built and not any(p.is_constant for p in built)
         assert np.array_equal(run.points[0].neumann, cert_xi2.lambda_field.neumann)
 
+    def test_continuation_runs_no_riccati_integration(self, cert_xi2):
+        # every Newton step solves with the tangent Jacobian; no step needs
+        # the ODE eigenvalues of the modes other than j
+        modes.riccati_solution.cache_clear()
+        trace_branch(ModeIndex(XI, 2), s_max=0.005, n_steps=1,
+                     resolution=(48, 32), truncation=12, certificate=cert_xi2)
+        assert modes.riccati_solution.cache_info().misses == 0
+
     def test_refinement_stability_of_lambda(self, cert_xi2):
         kwargs = dict(s_max=0.01, n_steps=1, truncation=8, certificate=cert_xi2)
         coarse = trace_branch(ModeIndex(XI, 2), resolution=(40, 32), **kwargs)
@@ -199,7 +207,7 @@ class TestFailurePaths:
         x0 = np.concatenate([[cert_xi2.lambda_j], np.zeros(7)])
         with pytest.raises(NumericalError, match="five step halvings"):
             branch._newton_solve(ModeIndex(XI, 2), x0, 0.005, 8, (48, 32),
-                                 1e-10, 12, cert_xi2)
+                                 1e-10, 12)
         assert len(calls) == 6
 
     def test_band_exit_during_retry_ends_the_run(self, cert_xi2, monkeypatch):
@@ -217,6 +225,22 @@ class TestFailurePaths:
         assert attempts == [0.01, 0.005]
         assert run.termination.startswith("profile left the admissible band at s=0.01000")
         assert len(run.points) == 1
+
+    def test_newton_failure_carries_its_context(self, cert_xi2, monkeypatch):
+        real = branch._newton_solve
+
+        def newton_solve(mode, x0, s, *args):
+            if s > 0.006:               # the second point and its retry
+                raise NumericalError("diverged")
+            return real(mode, x0, s, *args)
+
+        monkeypatch.setattr(branch, "_newton_solve", newton_solve)
+        with pytest.raises(NumericalError, match="even after step halving") as info:
+            trace_branch(ModeIndex(XI, 2), s_max=0.01, n_steps=2,
+                         resolution=(48, 32), truncation=8, certificate=cert_xi2)
+        assert info.value.details == {"mode": ["xi", 2], "s": 0.01, "last_good_s": 0.005,
+                                      "resolution": (48, 32), "truncation": 8}
+        assert len(info.value.partial_run.points) == 2
 
 
 class TestReport:

@@ -101,6 +101,12 @@ class TestConfigFile:
         cfg.write_text("n_minn = 2\n")
         assert run(["roots", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", ["solve", "roots"])
+    def test_unknown_axis_value_is_config_error(self, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("axis = zeta\n")
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SERRIN_OUT_DIR", str(tmp_path / "envout"))
         assert run(["roots", "--axis", "xi", "--n-min", "2", "--n-max", "2"]) == 0
@@ -116,6 +122,19 @@ class TestBranch:
         assert run(args + ["--out", str(b)]) == 0
         for name in ("branch_xi_j2.csv", "branch_xi_j2.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_failed_certificate_prints_its_details(self, tmp_path, capsys):
+        # at this coarse grid the discrete sigma_3 misses the kernel tolerance
+        assert run(["branch", "--axis", "eta", "--mode", "3", "--resolution", "48x32",
+                    "--truncation", "12", "--steps", "2", "--smax", "0.01",
+                    "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        message, details = captured.err.splitlines()
+        assert message.startswith("check failure: hypothesis (ii) kernel")
+        details = json.loads(details)
+        assert details["resolution"] == [48, 32] and details["truncation"] == 12
+        assert len(details["sigmas"]) == 12 + 1
+        assert abs(details["lambda_j"] - 1.358006174) < 1e-8
 
 
 class TestVerify:

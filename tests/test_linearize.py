@@ -54,6 +54,12 @@ class TestApplyL:
                     assert dev < 1e-7, f"{axis} n={n} lam={lam}: {dev:.2e}"
                     assert la.leakage({n}) < 1e-8
 
+    def test_axis_name_in_any_case(self):
+        upper = apply_L(0.8, CosineSeries.basis(2), axis="XI", resolution=(32, 16))
+        lower = apply_L(0.8, CosineSeries.basis(2), axis="xi", resolution=(32, 16))
+        assert upper.axis is XI
+        assert np.array_equal(upper.samples, lower.samples)
+
     def test_constant_data_returns_zero_mode_eigenvalue(self):
         lam = 0.85
         la = apply_L(lam, CosineSeries.constant(1.0), axis=ETA)
