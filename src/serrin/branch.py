@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrete import StraightTubeOperator, TubeOperator
+from .discrete import MatrixFreeTubeOperator, StraightTubeOperator
 from .errors import AnalysisError, DomainValidationError, NumericalError
 from .fourier import CosineSeries, cosine_coefficients
 from .geometry import BoundaryProfile, ModeIndex, boundary_area, volume
@@ -190,9 +190,9 @@ def _profile_from_state(mode, x, s, truncation):
 
 
 def _residual(mode, x, s, truncation, resolution):
-    """Projected flux equations at state x, their field and factorized operator."""
+    """Projected flux equations at state x, their field and matrix-free operator."""
     profile = _profile_from_state(mode, x, s, truncation)
-    operator = TubeOperator(profile, *parse_resolution(resolution))
+    operator = MatrixFreeTubeOperator(profile, *parse_resolution(resolution))
     fld = torsion_field(operator)
     coeffs, _ = cosine_coefficients(fld.neumann)
     return coeffs[1:truncation + 1].copy(), fld, operator
@@ -212,12 +212,12 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
     Amplitudes are the uniform grid k * s_max/n_steps.  Each point is
     solved by Newton iteration on the projected flux equations from the
     secant predictor.  The Jacobian is the exact tangent of the discrete
-    flux map at the predictor, all of its columns back-solved on the
-    factorization the residual there already built, and is kept frozen
-    within the point.  The s = 0 point reuses the certificate's lambda_j
-    field when the resolutions agree.  A point whose iteration diverges,
-    or whose line search cannot lower the residual in five halvings, is
-    retried from the half-amplitude; a second failure raises
+    flux map at the predictor, all of its columns solved with the
+    matrix-free operator the residual there already built, and is kept
+    frozen within the point.  The s = 0 point reuses the certificate's
+    lambda_j field when the resolutions agree.  A point whose iteration
+    diverges, or whose line search cannot lower the residual in five
+    halvings, is retried from the half-amplitude; a second failure raises
     :class:`NumericalError` with the run so far as ``partial_run`` and the
     mode, failing amplitude, last good amplitude, resolution and
     truncation as ``details``.  Profiles leaving the admissible band
@@ -253,10 +253,6 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
             try:
                 x_new, fld, iters = newton(pred, s)
             except NumericalError:
-                # retry outside the handler: the caught traceback keeps the
-                # failed attempt's frames, and with them its operator, alive
-                x_new = None
-            if x_new is None:
                 x_half, _, _ = newton(x, s - 0.5 * s_max / n_steps)
                 x_new, fld, iters = newton(x_half, s)
         except NumericalError as exc:
@@ -292,20 +288,16 @@ def _newton_solve(mode, x0, s, truncation, resolution, tol, max_iter):
                 f"(residual {np.max(np.abs(res)):.3e})")
         if jac is None:
             jac = _jacobian(operator, fld, truncation, free_modes)
-        # only the Jacobian needs the factorized operator: free it before the
-        # step allocates and before the line search assembles the next one
-        operator = None
         try:
             delta = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular branch Jacobian at s={s:.5f}: {exc}")
         step = 1.0
         for _ in range(5):
-            res_new, fld_new, operator = _residual(mode, x + step * delta, s,
-                                                   truncation, resolution)
+            res_new, fld_new, _ = _residual(mode, x + step * delta, s,
+                                            truncation, resolution)
             if np.max(np.abs(res_new)) < np.max(np.abs(res)):
                 break
-            operator = None
             step *= 0.5
         else:
             raise NumericalError(

@@ -197,7 +197,6 @@ SOLVE_DEFAULTS = dict(axis="xi", lam=0.8, mode=0, amplitude=0.0,
 
 def cmd_solve(ns):
     opts = _merged(ns, SOLVE_DEFAULTS)
-    out = _out_dir(ns)
     if opts.profile_json:
         with open(opts.profile_json) as handle:
             profile = BoundaryProfile.from_json(handle.read())
@@ -207,6 +206,7 @@ def cmd_solve(ns):
     else:
         profile = BoundaryProfile.constant(opts.axis, opts.lam)
     fld = solve_torsion(profile, parse_resolution(opts.resolution))
+    out = _out_dir(ns)
     stem = os.path.join(out, "torsion_field")
     io.torsion_field_to_files(fld, stem)
     print(f"solved {profile!r} at {opts.resolution}: "
@@ -228,13 +228,13 @@ CHECK_DEFAULTS = dict(axis="xi", lam=0.5, mode=2, resolution="64x64",
 def cmd_check_linearization(ns):
     opts = _merged(ns, CHECK_DEFAULTS)
     _check_lambda_range(opts.lam * 0.99, opts.lam * 1.01 + 1e-9)
-    out = _out_dir(ns)
     axis = Axis.coerce(opts.axis)
     table = fd_derivative_H(opts.lam, CosineSeries.basis(opts.mode), axis=axis,
                             resolution=parse_resolution(opts.resolution))
+    sigmas = [sigma(ModeIndex(axis, m), opts.lam) for m in range(opts.truncation + 1)]
+    out = _out_dir(ns)
     io.write_csv(os.path.join(out, f"linearization_{axis.value}_n{opts.mode}.csv"),
                  ("h", "deviation"), list(zip(table.steps, table.deviations)))
-    sigmas = [sigma(ModeIndex(axis, m), opts.lam) for m in range(opts.truncation + 1)]
     io.write_json(os.path.join(out, f"decomposition_{axis.value}.json"), {
         "lambda": opts.lam, "axis": axis.value,
         "sigma": sigmas, "truncation": opts.truncation,
@@ -262,12 +262,12 @@ def cmd_branch(ns):
     if opts.mode < 2:
         raise ConfigError(
             f"bifurcation needs a kernel mode with n >= 2, got {opts.mode}")
-    out = _out_dir(ns)
     axis = Axis.coerce(opts.axis)
     run = trace_branch(ModeIndex(axis, opts.mode), opts.smax, opts.steps,
                        resolution=parse_resolution(opts.resolution),
                        truncation=opts.truncation)
     rep = branch_report(run)
+    out = _out_dir(ns)
     rows = []
     for r in rep.rows:
         lead = r["leading_modes"] + [(0, 0.0)] * (3 - len(r["leading_modes"]))

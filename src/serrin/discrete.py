@@ -28,24 +28,41 @@ mode included) and the reflected nodes with the factor 1 for xi and
 (-1)^k for eta, the half-period shift.  :class:`StraightTubeOperator` thus
 solves one banded n_t x n_t radial system per mode between an rfft and an
 irfft, with the stencils of :class:`RadialStencils` that the 2-D
-:class:`TubeOperator` assembles from.  The 2-D assembly stays the general
-path and the oracle: it is what measures cross-mode leakage.
+:class:`TubeOperator` assembles from.
+
+Which operator serves which caller:
+
+- :class:`MatrixFreeTubeOperator` serves every perturbed tube, i.e.
+  ``torsion.solve_torsion`` and each branch residual and its tangents.  It
+  applies the operator node by node and solves by GMRES preconditioned
+  with the straight tube of the profile's mean radius.
+- :class:`StraightTubeOperator` serves the bifurcation certificate, the
+  s = 0 branch point, and the preconditioner above.
+- :class:`TubeOperator`, the sparse 2-D assembly with its LU, is the
+  oracle: ``linearize.constant_operator`` (the cross-mode leakage check
+  and ``serrin verify``'s axis-condition injection), the ``fd2`` angle
+  reference and the tests that compare the other two with it.
 """
 
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import lapack, solve_triangular
 
 from .errors import ConfigError, NumericalError
 from .fourier import angle_grid
 from .geometry import Axis, BoundaryProfile, laplacian_coefficient_values, laplacian_coefficients
 
 __all__ = ["fd_weights", "radial_grid", "fourier_diff_matrices",
-           "periodic_fd_matrices", "RadialStencils", "TubeOperator", "StraightTubeOperator"]
+           "periodic_fd_matrices", "RadialStencils", "TubeOperator", "StraightTubeOperator",
+           "MatrixFreeTubeOperator"]
 
 HALF_WIDTH = 3
 GRADING = 3.0
+# one GMRES cycle, no restart: iterations stay far below this on admissible
+# profiles, and the tolerance is the roundoff level of the right-hand side
+KRYLOV_MAX_ITER = 200
+KRYLOV_RTOL = 1e-14
 
 
 def fd_weights(x0, x, max_order):
@@ -206,7 +223,32 @@ def _as_grid(values, shape):
     return np.broadcast_to(np.asarray(values, dtype=float), shape)
 
 
-class TubeOperator:
+class _GridOperator:
+    """Field derivatives shared by the tube operators of one stencil table.
+
+    Subclasses set ``n_t``, ``m_angles``, ``_stencils`` and the angle
+    matrices ``_d1a`` and ``_d2a``.
+    """
+
+    def derivatives(self, u, boundary_values):
+        """Discrete (u_t, u_tt, u_aa, u_ta) of a field, each (n_t, M).
+
+        The assembly's own stencils, so that
+        g^tt u_tt + 2 g^ta u_ta + g^aa u_aa + c_t u_t reproduces
+        ``matrix @ u + boundary_matrix @ boundary_values`` row by row.
+        """
+        bc = _as_grid(boundary_values, (self.m_angles,))
+        u = np.asarray(u, dtype=float).reshape(self.n_t, self.m_angles)
+        u_t, u_tt = self._stencils.radial_derivatives(u, bc)
+        return u_t, u_tt, u @ self._d2a.T, u_t @ self._d1a.T
+
+    def t_derivative_trace(self, u, boundary_values):
+        """d u/d t on the boundary circle, via the one-sided stencil."""
+        bc = _as_grid(boundary_values, (self.m_angles,))
+        return self._stencils.t_derivative_trace(u, bc)
+
+
+class TubeOperator(_GridOperator):
     """Assembled Laplace-Beltrami operator of one profile on one grid.
 
     Rows are the interior collocation equations; columns referencing the
@@ -319,25 +361,16 @@ class TubeOperator:
             self._row_norm = np.abs(self.matrix).sum(axis=1).max()
         return _scaled(r, self._row_norm, u, rhs)
 
-    def derivatives(self, u, boundary_values):
-        """Discrete (u_t, u_tt, u_aa, u_ta) of a field, each (n_t, M).
+    def solve_interior(self, rhs):
+        """Solve A U = rhs column by column with zero Dirichlet data.
 
-        The assembly's own stencils, so that
-        g^tt u_tt + 2 g^ta u_ta + g^aa u_aa + c_t u_t reproduces
-        ``matrix @ u + boundary_matrix @ boundary_values`` row by row.
+        ``rhs`` is an (n_t * M, k) array of flattened interior right-hand
+        sides; all columns share the factorization in one back-solve.
         """
-        bc = _as_grid(boundary_values, (self.m_angles,))
-        u = np.asarray(u, dtype=float).reshape(self.n_t, self.m_angles)
-        u_t, u_tt = self._stencils.radial_derivatives(u, bc)
-        return u_t, u_tt, u @ self._d2a.T, u_t @ self._d1a.T
-
-    def t_derivative_trace(self, u, boundary_values):
-        """d u/d t on the boundary circle, via the one-sided stencil."""
-        bc = _as_grid(boundary_values, (self.m_angles,))
-        return self._stencils.t_derivative_trace(u, bc)
+        return self.lu.solve(rhs)
 
 
-class StraightTubeOperator:
+class StraightTubeOperator(_GridOperator):
     """Tube Laplacian of the straight tube of radius ``lam``, mode by mode.
 
     Same interface as :class:`TubeOperator` for ``solve``,
@@ -363,12 +396,15 @@ class StraightTubeOperator:
         gtt, _, gaa, _, ct = laplacian_coefficient_values(
             self.profile.axis, self.t, float(lam), 0.0, 0.0)
         self._gtt, self._gaa, self._ct = gtt, gaa, ct
-        _, self._d2a = fourier_diff_matrices(m)
+        self._d1a, self._d2a = fourier_diff_matrices(m)
+
+        # the coefficients do not depend on the angle, so one angle column
+        # stands for every row of the 2-D matrix
+        self.row_norm = _row_norm(st, self._d1a, self._d2a, shift, gtt[:, None],
+                                  np.zeros((n_t, 1)), gaa[:, None], ct[:, None])
 
         coef = gtt[:, None] * st.w2 + ct[:, None] * st.w1
         nodes = st.nodes
-        self.row_norm = _straight_row_norm(coef, st.colmap[nodes, 0],
-                                           gaa[:, None] * self._d2a[0], n_t, m)
 
         # radial system of mode k: the interior stencil entries, the
         # reflected ones times 1 (xi) or (-1)^k (eta: the half-period shift
@@ -427,29 +463,180 @@ class StraightTubeOperator:
              + self._ct[:, None] * u_t - rhs)
         return _scaled(r, self.row_norm, u, rhs)
 
-    def t_derivative_trace(self, u, boundary_values):
-        """d u/d t on the boundary circle, via the one-sided stencil."""
-        bc = _as_grid(boundary_values, (self.m_angles,))
-        return self._stencils.t_derivative_trace(u, bc)
 
+class MatrixFreeTubeOperator(_GridOperator):
+    """Laplace-Beltrami operator of one profile, applied without a matrix.
 
-def _straight_row_norm(coef, cols, angle_row, n_t, m):
-    """Largest absolute row sum of the 2-D straight-tube matrix.
-
-    Rotating the angle permutes the entries of a row, so the angle-0 rows
-    (i, 0) suffice: g^aa times the D2 row over the angle nodes of row i,
-    plus the radial stencil on its columns, duplicates summed as the 2-D
-    assembly sums them; the boundary columns are left out, as they are
-    of ``TubeOperator.matrix``.
+    Same interface as :class:`TubeOperator` for ``solve``,
+    ``solve_interior``, ``scaled_residual``, ``derivatives`` and
+    ``t_derivative_trace``, with the Fourier angle scheme and the default
+    axis shift.  :meth:`apply` forms g^tt u_tt + 2 g^ta u_ta + g^aa u_aa +
+    c_t u_t node by node from the assembly's stencils, so it equals
+    ``matrix @ u + boundary_matrix @ boundary_values`` of the assembled
+    operator.  Solves run GMRES (Saad and Schultz, SIAM J. Sci. Stat.
+    Comput. 7, 1986), right-preconditioned by the straight tube of the
+    profile's mean radius, so the residual it minimizes is the true one.
+    ``row_norm`` is the exact largest absolute row sum of the assembled
+    matrix, and ``iterations`` the Krylov iteration count of the latest
+    solve (the most over its columns for ``solve_interior``).
     """
+
+    angle_scheme = "fourier"
+
+    def __init__(self, profile, n_t, m_angles):
+        pre = self._preconditioner = StraightTubeOperator(
+            profile.axis, profile.coeffs[0], n_t, m_angles)
+        self.profile = profile
+        self.n_t, self.m_angles, self.t, self.angles = pre.n_t, pre.m_angles, pre.t, pre.angles
+        self._stencils, self._d1a, self._d2a = pre._stencils, pre._d1a, pre._d2a
+        gtt, gta, gaa, _, ct = laplacian_coefficients(profile, self.t, self.angles)
+        self._coeffs = tuple(np.broadcast_to(f, (self.n_t, self.m_angles))
+                             for f in (gtt, gta, gaa, ct))
+        self.row_norm = _row_norm(self._stencils, self._d1a, self._d2a,
+                                  _default_axis_shift(profile.axis, self.m_angles),
+                                  *self._coeffs)
+        self.iterations = 0
+
+    def apply(self, u, boundary_values):
+        """The operator on an (n_t, M) field with Dirichlet samples on t = 1."""
+        u_t, u_tt, u_aa, u_ta = self.derivatives(u, boundary_values)
+        gtt, gta, gaa, ct = self._coeffs
+        return gtt * u_tt + 2.0 * gta * u_ta + gaa * u_aa + ct * u_t
+
+    def solve(self, rhs, boundary_values):
+        """Solve A u = rhs with Dirichlet data on t = 1, as TubeOperator.solve."""
+        shape = (self.n_t, self.m_angles)
+        b = _as_grid(rhs, shape) - self.apply(np.zeros(shape), boundary_values)
+        u, self.iterations = self._gmres(b.ravel())
+        if not np.all(np.isfinite(u)):
+            raise NumericalError("linear solve produced non-finite values")
+        return u.reshape(shape)
+
+    def solve_interior(self, rhs):
+        """Solve A U = rhs column by column with zero Dirichlet data.
+
+        ``rhs`` is an (n_t * M, k) array of flattened interior right-hand
+        sides; each column is one Krylov solve.
+        """
+        out = np.empty(rhs.shape)
+        self.iterations = 0
+        for col, b in zip(out.T, rhs.T):
+            col[:], its = self._gmres(b)
+            self.iterations = max(self.iterations, its)
+        return out
+
+    def scaled_residual(self, u, rhs, boundary_values):
+        """As TubeOperator.scaled_residual, with the operator applied node by node."""
+        rhs = _as_grid(rhs, (self.n_t, self.m_angles))
+        return _scaled(self.apply(u, boundary_values) - rhs, self.row_norm, u, rhs)
+
+    def _gmres(self, b):
+        """One restart-free GMRES cycle on a flat right-hand side: (x, iterations).
+
+        Arnoldi with classical Gram-Schmidt applied twice, Givens rotations
+        on the Hessenberg columns.  It stops once the residual norm, which
+        the rotations carry at no cost, reaches ``KRYLOV_RTOL`` of the
+        right-hand side's, and raises :class:`NumericalError` with its
+        context when ``KRYLOV_MAX_ITER`` steps do not get there.
+        """
+        beta = float(np.linalg.norm(b))
+        if beta == 0.0:
+            return np.zeros(b.size), 0
+        if not np.isfinite(beta):
+            # as a direct solve would; the caller's finiteness check reports it
+            return np.full(b.size, np.nan), 0
+        shape = (self.n_t, self.m_angles)
+
+        def precondition(v):
+            return self._preconditioner.solve(v.reshape(shape), 0.0).ravel()
+
+        cap = KRYLOV_MAX_ITER
+        basis = np.empty((cap + 1, b.size))
+        hess = np.zeros((cap + 1, cap))
+        rot = np.zeros((cap, 2))
+        g = np.zeros(cap + 1)
+        g[0] = beta
+        basis[0] = b / beta
+        for k in range(cap):
+            w = self.apply(precondition(basis[k]).reshape(shape), 0.0).ravel()
+            for _ in range(2):
+                h = basis[:k + 1] @ w
+                w -= h @ basis[:k + 1]
+                hess[:k + 1, k] += h
+            norm = np.linalg.norm(w)
+            col = hess[:k + 2, k]
+            col[k + 1] = norm
+            for i, (c, s) in enumerate(rot[:k]):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            r = np.hypot(col[k], col[k + 1])
+            rot[k] = col[k] / r, col[k + 1] / r
+            col[k], col[k + 1] = r, 0.0
+            g[k], g[k + 1] = rot[k, 0] * g[k], -rot[k, 1] * g[k]
+            if abs(g[k + 1]) <= KRYLOV_RTOL * beta:
+                y = solve_triangular(hess[:k + 1, :k + 1], g[:k + 1])
+                return precondition(y @ basis[:k + 1]), k + 1
+            basis[k + 1] = w / norm
+        err = NumericalError(
+            f"GMRES residual {abs(g[cap]) / beta:.3e} above {KRYLOV_RTOL:.0e} "
+            f"after {cap} iterations")
+        err.details = {"residual": abs(g[cap]) / beta, "cap": KRYLOV_RTOL,
+                       "iterations": cap, "resolution": shape,
+                       "profile": self.profile.coeffs.tolist()}
+        raise err
+
+
+def _row_norm(st, d1a, d2a, shift, gtt, gta, gaa, ct):
+    """Largest absolute row sum of the assembled 2-D matrix, never assembled.
+
+    ``st`` is the grid's :class:`RadialStencils`, ``d1a`` and ``d2a`` the
+    Fourier angle matrices, ``shift`` the axis shift, and the coefficients
+    are (n_t, K) arrays over the angle nodes, or K = 1 for coefficients
+    that do not depend on the angle: rotating the angle then permutes the
+    entries of a row.  Row (i, k) holds, on the angle nodes of each radial
+    row r its stencil reaches, the vector over m = (k - column angle) mod M
+    of
+
+        a col2[m] + b col1[m] + c col1[m + s] + d [m = 0] + e [m = -s],
+
+    where col1 and col2 are the circulant columns of D1 and D2 and s the
+    shift: a = g^aa on r = i; b and d the cross and radial weights of the
+    stencil nodes on row r, c and e those of the reflected ones when the
+    shift moves them.  Entries on one column are summed, as the assembly
+    sums duplicates, and the boundary columns are left out.  col1 vanishes
+    at m = 0, so a row fed by b, d alone sums to |b| sum|col1| + |d|, and
+    one fed by c, e alone to |c| sum|col1| + |e|; the others are summed in
+    full.
+    """
+    nodes = st.nodes
+    (n_t, width), m = nodes.shape, d1a.shape[0]
+    rows = st.rows[nodes]
+    moved = st.reflected[nodes] & (shift != 0)
+    # slot of a node: the first node of its stencil on the same radial
+    # row; the boundary row gets the extra slot, which is dropped
+    slot = np.argmax(rows[:, :, None] == rows[:, None, :], axis=2)
+    slot[rows == n_t] = width
+    a, b, c, d, e = np.zeros((5, n_t, width + 1, gtt.shape[1]))
     i = np.arange(n_t)
-    rows = np.concatenate([np.repeat(i, m), np.repeat(i, coef.shape[1])])
-    cols = np.concatenate([(i[:, None] * m + np.arange(m)).ravel(), cols.ravel()])
-    vals = np.concatenate([angle_row.ravel(), coef.ravel()])
-    inside = cols < n_t * m
-    row0 = sparse.coo_matrix((vals[inside], (rows[inside], cols[inside])),
-                             shape=(n_t, n_t * m)).tocsr()
-    return float(abs(row0).sum(axis=1).max())
+    a[i, slot[i, i + HALF_WIDTH - st.lows]] = gaa
+    for j in range(width):
+        cross = 2.0 * gta * st.w1[:, j, None]
+        radial = gtt * st.w2[:, j, None] + ct * st.w1[:, j, None]
+        is_moved = moved[:, j, None]
+        b[i, slot[:, j]] += np.where(is_moved, 0.0, cross)
+        c[i, slot[:, j]] += np.where(is_moved, cross, 0.0)
+        d[i, slot[:, j]] += np.where(is_moved, 0.0, radial)
+        e[i, slot[:, j]] += np.where(is_moved, radial, 0.0)
+    col1, col2 = d1a[:, 0], d2a[:, 0]
+    sums = (np.abs(b) + np.abs(c)) * np.abs(col1).sum() + np.abs(d) + np.abs(e)
+    direct = np.any((b != 0.0) | (d != 0.0), axis=2)
+    moved_any = np.any((c != 0.0) | (e != 0.0), axis=2)
+    rr, ss = np.nonzero(np.any(a != 0.0, axis=2) | (direct & moved_any))
+    full = (a[rr, ss, :, None] * col2 + b[rr, ss, :, None] * col1
+            + c[rr, ss, :, None] * np.roll(col1, -shift))
+    full[..., 0] += d[rr, ss]
+    full[..., -shift % m] += e[rr, ss]
+    sums[rr, ss] = np.abs(full).sum(axis=2)
+    return float(sums[:, :width].sum(axis=1).max())
 
 
 def _scaled(r, row_norm, u, rhs):

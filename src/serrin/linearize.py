@@ -69,10 +69,10 @@ def harmonic_extend(lam, w, axis=Axis.XI, resolution=DEFAULT_RESOLUTION,
                     operator=None):
     """Harmonic extension of single-angle boundary data into the tube.
 
-    By default this goes through the same two-dimensional assembly as the
-    torsion solver, a :class:`~serrin.discrete.TubeOperator`, so callers that
-    pass one (or none) genuinely measure the cross-mode leakage of the
-    discrete operator.  A :class:`~serrin.discrete.StraightTubeOperator`
+    By default this goes through the two-dimensional assembly of the
+    discrete operator the torsion solver applies matrix-free, a
+    :class:`~serrin.discrete.TubeOperator`, so callers that pass one (or
+    none) genuinely measure its cross-mode leakage.  A :class:`~serrin.discrete.StraightTubeOperator`
     passed as ``operator`` gives the same field from per-mode radial solves,
     which cannot leak by construction.
     """

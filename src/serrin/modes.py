@@ -456,11 +456,21 @@ def riccati_sweep(mode, lam_max=LAMBDA_MAX, tol=1e-10, lam_grid=None,
     lower, upper = riccati_bounds(mode, lam_grid)
     if upper is not None:
         scale = np.maximum(1.0, np.abs(upper))
-        if np.any(vals - upper > bound_tol * scale):
-            raise ConsistencyError(
-                f"{mode} violates the upper comparison bound 3n/cos(lam)")
-        if lower is not None and np.any(lower - vals > bound_tol * scale):
-            raise ConsistencyError(
-                f"{mode} violates the lower comparison bound")
+        _check_bound(mode, "upper comparison bound 3n/cos(lam)", lam_grid, vals, upper,
+                     vals - upper > bound_tol * scale, bound_tol)
+        if lower is not None:
+            _check_bound(mode, "lower comparison bound", lam_grid, vals, lower,
+                         lower - vals > bound_tol * scale, bound_tol)
     return RiccatiState(mode, lam_grid, vals)
 
+
+def _check_bound(mode, name, lam_grid, vals, bound, violated, bound_tol):
+    """Raise a ConsistencyError at the first grid point that breaks the bound."""
+    if not np.any(violated):
+        return
+    k = int(np.argmax(violated))
+    err = ConsistencyError(f"{mode} violates the {name} at lam={lam_grid[k]:.6f}")
+    err.details = {"mode": [mode.axis.value, mode.n], "lam": float(lam_grid[k]),
+                   "value": float(vals[k]), "bound": float(bound[k]),
+                   "bound_tol": bound_tol}
+    raise err

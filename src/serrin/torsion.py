@@ -10,19 +10,22 @@ for a single-angle boundary profile, extracts the Neumann data
 
 and measures how far the domain is from being a Serrin domain (constant
 normal derivative).  The discretization lives in :mod:`serrin.discrete`;
-everything here is deterministic, one direct sparse solve per field.
+everything here is deterministic.  A field is one solve with whichever
+operator the caller passes: by default the matrix-free operator, solved by
+GMRES preconditioned with the straight tube, and the assembled, factorized
+operator where a caller needs the matrix itself.
 
 The derivative of the discrete H along profile perturbations is exact: the
 operator is linear in the Laplace-Beltrami coefficients, so differentiating
-A(phi) u = -1 gives A du = -(dA) u, solved on the factorization that
-produced u.
+A(phi) u = -1 gives A du = -(dA) u, solved with the operator that produced
+u.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrete import GRADING, HALF_WIDTH, TubeOperator
+from .discrete import GRADING, HALF_WIDTH, MatrixFreeTubeOperator
 from .errors import ConfigError, NumericalError
 from .geometry import (BoundaryProfile, boundary_area_element, laplacian_coefficient_values,
                        neumann_weight, neumann_weight_values)
@@ -65,7 +68,7 @@ class TorsionField:
     meta: dict = field(default_factory=dict)
 
 
-def solve_torsion(profile, resolution=(64, 64), angle_scheme="fourier"):
+def solve_torsion(profile, resolution=(64, 64)):
     """Solve the torsion problem for one admissible profile.
 
     Parameters
@@ -74,33 +77,41 @@ def solve_torsion(profile, resolution=(64, 64), angle_scheme="fourier"):
         Single-angle boundary profile; validated for admissibility.
     resolution : (int, int) or 'NxM'
         Radial times angular node counts, at least 16 x 16.
-    angle_scheme : {'fourier', 'fd2'}
-        Angle coupling of the assembled operator (see :mod:`serrin.discrete`).
 
-    Each call assembles and factorizes its own operator; see
-    :func:`torsion_field` for the residual check.
+    Each call builds its own :class:`~serrin.discrete.MatrixFreeTubeOperator`
+    with the Fourier angle coupling; see :func:`torsion_field` for the
+    residual check and for other operators.
     """
     n_t, m = parse_resolution(resolution)
     if n_t < 16 or m < 16:
         raise ConfigError(f"resolution must be at least 16x16, got {n_t}x{m}")
     profile.validate()
-    return torsion_field(TubeOperator(profile, n_t, m, angle_scheme=angle_scheme))
+    return torsion_field(MatrixFreeTubeOperator(profile, n_t, m))
 
 
 def torsion_field(operator):
-    """Torsion field of the profile an assembled operator was built for.
+    """Torsion field of the profile an operator was built for.
 
-    ``operator`` is a :class:`~serrin.discrete.TubeOperator`, factorized
-    here unless it already is, or, for a straight tube, a
-    :class:`~serrin.discrete.StraightTubeOperator`.  The scaled residual of
-    the direct solve is recorded and must stay below 1e-10, else a
-    :class:`NumericalError` is raised.
+    ``operator`` is a :class:`~serrin.discrete.MatrixFreeTubeOperator`, a
+    :class:`~serrin.discrete.TubeOperator` (factorized here unless it
+    already is; the ``fd2`` angle scheme is reached this way) or, for a
+    straight tube, a :class:`~serrin.discrete.StraightTubeOperator`.  The
+    scaled residual of the solve is recorded and must stay below 1e-10,
+    else a :class:`NumericalError` is raised whose ``details`` hold the
+    residual, the cap, the resolution, the profile coefficients and, for a
+    Krylov solve, its iteration count.
     """
     u = operator.solve(-1.0, 0.0)
     residual = operator.scaled_residual(u, -1.0, 0.0)
     if residual > RESIDUAL_CAP:
-        raise NumericalError(
-            f"direct solve residual {residual:.3e} exceeds {RESIDUAL_CAP:.0e}")
+        err = NumericalError(
+            f"torsion solve residual {residual:.3e} exceeds {RESIDUAL_CAP:.0e}")
+        err.details = {"residual": residual, "cap": RESIDUAL_CAP,
+                       "resolution": (operator.n_t, operator.m_angles),
+                       "profile": operator.profile.coeffs.tolist()}
+        if hasattr(operator, "iterations"):
+            err.details["iterations"] = operator.iterations
+        raise err
     du = operator.t_derivative_trace(u, 0.0)
     h_vals = neumann_weight(operator.profile, operator.angles) * du
     return TorsionField(operator.profile, operator.t, operator.angles, u, h_vals, residual,
@@ -121,7 +132,9 @@ def flux_tangents(operator, fld, modes):
     where phi, phi', phi'' move along cos(m a), -m sin(m a), -m^2 cos(m a).
     The coefficients depend pointwise on (phi, phi', phi''), so three
     complex steps give their partials, and each direction combines them.
-    All directions share the operator's factorization in one back-solve.
+    All directions go through the operator's ``solve_interior``: one
+    back-solve on an assembled operator's factorization, one Krylov solve
+    per direction on a matrix-free one.
     """
     prof, ang, h = operator.profile, operator.angles, COMPLEX_STEP
     u_t, u_tt, u_aa, u_ta = operator.derivatives(fld.u, 0.0)
@@ -141,7 +154,7 @@ def flux_tangents(operator, fld, modes):
         direction = (np.cos(m * ang), -m * np.sin(m * ang), -m * m * np.cos(m * ang))
         rhs[:, i] = -sum(p * d for p, d in zip(partial_au, direction)).ravel()
         dw[i] = sum(p * d for p, d in zip(partial_w, direction))
-    du = operator.lu.solve(rhs)
+    du = operator.solve_interior(rhs)
     if not np.all(np.isfinite(du)):
         raise NumericalError("tangent solve produced non-finite values")
     du_trace = np.array([operator.t_derivative_trace(col.reshape(fld.u.shape), 0.0)

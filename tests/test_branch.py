@@ -1,5 +1,3 @@
-import weakref
-
 import numpy as np
 import pytest
 
@@ -26,21 +24,17 @@ def _fd_jacobian(mode, x, s, truncation, resolution, h):
     return jac
 
 
-@pytest.fixture()
-def factorizations(monkeypatch):
-    """Per factorization during the test: how many factorized operators lived on."""
-    live = weakref.WeakSet()
-    alive_before = []
-    fget = discrete.TubeOperator.lu.fget
+def _record_calls(monkeypatch, owner, name):
+    """Patch ``owner.name`` to log its first argument; returns the log."""
+    calls = []
+    original = getattr(owner, name)
 
-    def lu(op):
-        if op._lu is None:
-            alive_before.append(len(live))
-            live.add(op)
-        return fget(op)
+    def record(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
 
-    monkeypatch.setattr(discrete.TubeOperator, "lu", property(lu))
-    return alive_before
+    monkeypatch.setattr(owner, name, record)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -140,23 +134,27 @@ class TestBranch:
                            certificate=cert_xi2)
         assert all(p.defect < 1e-6 for p in run.points)
 
-    def test_one_point_costs_at_most_four_factorizations(self, cert_xi2, factorizations):
+    def test_one_point_costs_at_most_four_factorizations(self, cert_xi2, monkeypatch):
+        # a point builds matrix-free operators only: nothing is assembled and
+        # nothing factorized
+        assembled = _record_calls(monkeypatch, discrete.TubeOperator, "__init__")
+        factorized = _record_calls(monkeypatch, discrete.spla, "splu")
+        built = _record_calls(monkeypatch, discrete.MatrixFreeTubeOperator, "__init__")
         run = trace_branch(ModeIndex(XI, 2), s_max=0.005, n_steps=1,
                            resolution=(48, 32), truncation=12, certificate=cert_xi2)
         assert run.points[-1].defect < 1e-6
-        assert 0 < len(factorizations) <= 4
-        # each operator is released before the next one factorizes
-        assert max(factorizations) == 0
+        assert assembled == [] and factorized == []
+        assert 0 < len(built) <= 4
 
     def test_start_reuses_the_certificate_field(self, cert_xi2, monkeypatch):
         built = []
-        init = discrete.TubeOperator.__init__
+        init = discrete.MatrixFreeTubeOperator.__init__
 
         def record(op, profile, *args, **kwargs):
             built.append(profile)
             init(op, profile, *args, **kwargs)
 
-        monkeypatch.setattr(discrete.TubeOperator, "__init__", record)
+        monkeypatch.setattr(discrete.MatrixFreeTubeOperator, "__init__", record)
         run = trace_branch(ModeIndex(XI, 2), s_max=0.005, n_steps=1,
                            resolution=(48, 32), truncation=12, certificate=cert_xi2)
         assert built and not any(p.is_constant for p in built)

@@ -107,6 +107,20 @@ class TestConfigFile:
         cfg.write_text("axis = zeta\n")
         assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", ["solve", "check-linearization", "branch"])
+    def test_rejected_run_leaves_no_out_dir(self, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("axis = zeta\n")
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_unknown_axis_flag_leaves_no_out_dir(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            run(["branch", "--axis", "zeta", "--out", str(out)])
+        assert info.value.code == 2 and not out.exists()
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SERRIN_OUT_DIR", str(tmp_path / "envout"))
         assert run(["roots", "--axis", "xi", "--n-min", "2", "--n-max", "2"]) == 0

@@ -174,8 +174,12 @@ class TestRiccati:
     def test_bound_monitor_aborts_on_corrupted_launch(self):
         riccati_solution.cache_clear()
         try:
-            with pytest.raises(ConsistencyError):
-                riccati_sweep(ModeIndex(XI, 2), lam_grid=np.linspace(0.01, 1.0, 50),
-                              _initial_shift=-0.05)
+            grid = np.linspace(0.01, 1.0, 50)
+            with pytest.raises(ConsistencyError, match="lower comparison bound") as info:
+                riccati_sweep(ModeIndex(XI, 2), lam_grid=grid, _initial_shift=-0.05)
         finally:
             riccati_solution.cache_clear()
+        details = info.value.details
+        assert details["mode"] == ["xi", 2] and details["bound_tol"] == 1e-7
+        assert details["lam"] in grid
+        assert details["bound"] - details["value"] > 1e-7 * max(1.0, details["bound"])

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from serrin.discrete import TubeOperator
+from serrin import torsion
+from serrin.discrete import KRYLOV_MAX_ITER, MatrixFreeTubeOperator, TubeOperator
 from serrin.errors import ConfigError, DomainValidationError, NumericalError
 from serrin.geometry import (Axis, BoundaryProfile, boundary_area, laplacian_coefficients,
                              volume)
@@ -109,16 +112,16 @@ class TestPerturbedProfiles:
 class TestAngleSchemes:
     def test_fd2_reference_coupling_passes_radial_validation(self):
         lam = 0.8
-        fld = solve_torsion(BoundaryProfile.constant(Axis.XI, lam), (64, 32),
-                            angle_scheme="fd2")
+        fld = torsion_field(TubeOperator(BoundaryProfile.constant(Axis.XI, lam), 64, 32,
+                                         angle_scheme="fd2"))
         exact = radial_torsion(lam, fld.t * lam)[:, None]
         assert np.max(np.abs(fld.u - exact)) < 1e-9
         assert serrin_defect(fld) < 1e-10
 
     def test_fd2_handles_perturbed_profiles_consistently(self):
         prof = BoundaryProfile(Axis.XI, [0.8, 0.0, 0.05])
-        a = solve_torsion(prof, (48, 96), angle_scheme="fd2")
-        b = solve_torsion(prof, (48, 96), angle_scheme="fourier")
+        a = torsion_field(TubeOperator(prof, 48, 96, angle_scheme="fd2"))
+        b = solve_torsion(prof, (48, 96))
         # second-order angle coupling converges to the spectral answer
         assert np.max(np.abs(a.neumann - b.neumann)) < 5e-4
 
@@ -140,11 +143,71 @@ class TestDiscreteDerivatives:
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
 
     def test_non_finite_tangent_solve_is_a_numerical_error(self):
-        op = TubeOperator(BoundaryProfile(Axis.XI, [0.8, 0.0, 0.05]), 24, 16)
-        fld = torsion_field(op)
-        fld.u[3, 5] = np.nan
-        with pytest.raises(NumericalError, match="tangent solve"):
-            flux_tangents(op, fld, [0, 2])
+        prof = BoundaryProfile(Axis.XI, [0.8, 0.0, 0.05])
+        for op in (TubeOperator(prof, 24, 16), MatrixFreeTubeOperator(prof, 24, 16)):
+            fld = torsion_field(op)
+            fld.u[3, 5] = np.nan
+            with pytest.raises(NumericalError, match="tangent solve"):
+                flux_tangents(op, fld, [0, 2])
+
+
+PROFILES = ([0.9, 0.03, 0.05, 0.0, 0.01], [0.8], [0.7, 0.0, 0.2])
+
+
+class TestMatrixFreeOperator:
+    """The Krylov-solved operator against the assembled one it replaces."""
+
+    @pytest.mark.parametrize("coeffs", PROFILES)
+    @pytest.mark.parametrize("axis", [Axis.XI, Axis.ETA])
+    def test_matches_the_assembled_operator(self, axis, coeffs):
+        prof = BoundaryProfile(axis, coeffs)
+        for n_t, m in ((40, 32), (64, 64)):
+            slow, fast = TubeOperator(prof, n_t, m), MatrixFreeTubeOperator(prof, n_t, m)
+            u = np.sin(3.0 * slow.t)[:, None] * (1.0 + 0.3 * np.cos(slow.angles)
+                                                 + 0.2 * np.sin(2.0 * slow.angles))[None, :]
+            bc = 0.5 + np.cos(slow.angles)
+            want = (slow.matrix @ u.ravel() + slow.boundary_matrix @ bc).reshape(u.shape)
+            assert np.max(np.abs(fast.apply(u, bc) - want)) < 1e-12 * np.max(np.abs(want))
+            row_norm = np.abs(slow.matrix).sum(axis=1).max()
+            assert abs(fast.row_norm - row_norm) < 1e-12 * row_norm
+            f_slow, f_fast = torsion_field(slow), torsion_field(fast)
+            assert np.max(np.abs(f_fast.u - f_slow.u)) < 1e-11
+            assert np.max(np.abs(f_fast.neumann - f_slow.neumann)) < 1e-11
+
+    @pytest.mark.parametrize("axis", [Axis.XI, Axis.ETA])
+    def test_flux_tangents_match_the_direct_solve(self, axis):
+        prof = BoundaryProfile(axis, PROFILES[0])
+        slow, fast = TubeOperator(prof, 64, 64), MatrixFreeTubeOperator(prof, 64, 64)
+        modes = [0, 1, 2, 3, 5, 8]
+        want = flux_tangents(slow, torsion_field(slow), modes)
+        got = flux_tangents(fast, torsion_field(fast), modes)
+        assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("axis", [Axis.XI, Axis.ETA])
+    def test_constant_profile_converges_at_once(self, axis):
+        # the preconditioner is the operator itself: one step, one to mop up
+        op = MatrixFreeTubeOperator(BoundaryProfile.constant(axis, 0.8), 64, 64)
+        torsion_field(op)
+        assert 1 <= op.iterations <= 2
+
+    def test_unpreconditioned_solve_fails_with_its_context(self):
+        op = MatrixFreeTubeOperator(BoundaryProfile(Axis.ETA, PROFILES[0]), 40, 32)
+        op._preconditioner = SimpleNamespace(solve=lambda rhs, bc: np.array(rhs))
+        with pytest.raises(NumericalError, match="GMRES") as info:
+            op.solve(-1.0, 0.0)
+        details = info.value.details
+        assert details["iterations"] == KRYLOV_MAX_ITER and details["residual"] > details["cap"]
+        assert details["resolution"] == (40, 32) and details["profile"] == PROFILES[0]
+
+    def test_residual_cap_failure_carries_its_context(self, monkeypatch):
+        monkeypatch.setattr(torsion, "RESIDUAL_CAP", 0.0)
+        op = MatrixFreeTubeOperator(BoundaryProfile(Axis.XI, PROFILES[2]), 40, 32)
+        with pytest.raises(NumericalError, match="exceeds") as info:
+            torsion_field(op)
+        details = info.value.details
+        assert details["cap"] == 0.0 and 0.0 < details["residual"] < 1e-10
+        assert details["iterations"] == op.iterations > 0
+        assert details["resolution"] == (40, 32) and details["profile"] == PROFILES[2]
 
 
 class TestEtaAxisBehavior:
