@@ -3,23 +3,22 @@
 The sphere is foliated by flat tori; straight tubes around the core circle
 solve the overdetermined torsion problem exactly, and nontrivial Serrin
 domains bifurcate from them at computable radii.  The package computes the
-whole chain: pulled-back metrics and quadrature (``geometry``), the exact
-radial reference (``radial``), the singular mode ODEs and their Riccati
-forms (``modes``), the eigenvalue curves and bifurcation radii
-(``spectrum``), the deformed-tube torsion solver and flux (``torsion``),
-the linearized flux map (``linearize``), and the continued branches of
-perturbed Serrin domains (``branch``).  ``cli`` ties them into
-reproducible runs.
+whole chain: Laplace-Beltrami coefficients and quadrature (``geometry``),
+the exact radial reference (``radial``), the singular mode ODEs and their
+Riccati forms (``modes``), the eigenvalue curves and bifurcation radii
+(``spectrum``), the tube operators (``discrete``), the deformed-tube
+torsion solver and flux (``torsion``), the linearized flux map
+(``linearize``), and the continued branches of perturbed Serrin domains
+(``branch``).  ``cli`` ties them into reproducible runs.
 """
 
 from .errors import (AnalysisError, ConfigError, ConsistencyError,
                      DomainValidationError, NumericalError, PrecisionError,
                      SerrinError)
 from .fourier import CosineSeries, angle_grid
-from .geometry import (Axis, BoundaryProfile, MetricAtPoint, ModeIndex,
-                       boundary_area, metric_lambda, metric_phi,
+from .geometry import (Axis, BoundaryProfile, ModeIndex, boundary_area,
                        neumann_weight, volume)
-from .radial import RadialSolution, radial_flux, radial_torsion
+from .radial import radial_flux, radial_torsion
 from .modes import (Endpoint, ModeSolution, RiccatiState, frobenius_launch,
                     indicial_roots, riccati_sweep, solve_l)
 from .spectrum import (BifurcationPoint, EigenCurve, asymptotics_report,
@@ -37,9 +36,9 @@ __all__ = [
     "SerrinError", "DomainValidationError", "ConfigError", "PrecisionError",
     "NumericalError", "AnalysisError", "ConsistencyError",
     "CosineSeries", "angle_grid",
-    "Axis", "ModeIndex", "MetricAtPoint", "BoundaryProfile",
-    "metric_lambda", "metric_phi", "volume", "boundary_area", "neumann_weight",
-    "radial_torsion", "radial_flux", "RadialSolution",
+    "Axis", "ModeIndex", "BoundaryProfile", "volume", "boundary_area",
+    "neumann_weight",
+    "radial_torsion", "radial_flux",
     "Endpoint", "ModeSolution", "RiccatiState", "indicial_roots",
     "frobenius_launch", "solve_l", "riccati_sweep",
     "sigma", "EigenCurve", "eigen_curve", "BifurcationPoint", "find_lambda_n",

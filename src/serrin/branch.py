@@ -77,6 +77,8 @@ def check_cr_hypotheses(mode, truncation=16, resolution=(64, 64),
     ``kernel_tol``, namely mode j; (iii) every other eigenvalue stays beyond
     ``gap_floor`` (codimension-one range); (iv) the kernel eigenvalue
     crosses zero transversally, with the sign of the closed-form slope.
+    A truncation below j cannot see the kernel mode and raises
+    :class:`DomainValidationError` before any solve.
     Every straight-tube solve, the torsion fields of (i) and the discrete
     eigenvalues alike, goes through the mode-diagonal
     :class:`~serrin.discrete.StraightTubeOperator`.  Any failure raises
@@ -85,6 +87,9 @@ def check_cr_hypotheses(mode, truncation=16, resolution=(64, 64),
     computed so far.
     """
     mode = ModeIndex.coerce(mode)
+    if truncation < mode.n:
+        raise DomainValidationError(
+            f"truncation {truncation} is below the kernel mode {mode.n}")
     n_t, m_angles = parse_resolution(resolution)
     root = find_lambda_n(mode)
     lam_j = root.lambda_n

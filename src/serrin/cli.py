@@ -198,6 +198,11 @@ SOLVE_DEFAULTS = dict(axis="xi", lam=0.8, mode=0, amplitude=0.0,
 def cmd_solve(ns):
     opts = _merged(ns, SOLVE_DEFAULTS)
     if opts.profile_json:
+        config = _load_config(ns.config)
+        given = [key for key in ("axis", "lam", "mode", "amplitude")
+                 if getattr(ns, key) is not None or key in config]
+        if given:
+            raise ConfigError(f"profile_json fixes the profile; it conflicts with {given}")
         with open(opts.profile_json) as handle:
             profile = BoundaryProfile.from_json(handle.read())
     elif opts.amplitude:
@@ -228,6 +233,8 @@ CHECK_DEFAULTS = dict(axis="xi", lam=0.5, mode=2, resolution="64x64",
 def cmd_check_linearization(ns):
     opts = _merged(ns, CHECK_DEFAULTS)
     _check_lambda_range(opts.lam * 0.99, opts.lam * 1.01 + 1e-9)
+    if opts.truncation < 0:
+        raise ConfigError(f"truncation must be >= 0, got {opts.truncation}")
     axis = Axis.coerce(opts.axis)
     table = fd_derivative_H(opts.lam, CosineSeries.basis(opts.mode), axis=axis,
                             resolution=parse_resolution(opts.resolution))

@@ -224,10 +224,13 @@ def _as_grid(values, shape):
 
 
 class _GridOperator:
-    """Field derivatives shared by the tube operators of one stencil table.
+    """The node-by-node operator shared by the tube operators.
 
-    Subclasses set ``n_t``, ``m_angles``, ``_stencils`` and the angle
-    matrices ``_d1a`` and ``_d2a``.
+    Subclasses set ``n_t``, ``m_angles``, ``_stencils``, the angle matrices
+    ``_d1a`` and ``_d2a`` and the coefficients ``_coeffs`` = (g^tt, g^ta,
+    g^aa, c_t), each broadcastable to (n_t, M).  ``scaled_residual`` also
+    needs ``row_norm``, the largest absolute row sum of the assembled
+    matrix; :class:`TubeOperator` has the matrix and overrides it.
     """
 
     def derivatives(self, u, boundary_values):
@@ -246,6 +249,21 @@ class _GridOperator:
         """d u/d t on the boundary circle, via the one-sided stencil."""
         bc = _as_grid(boundary_values, (self.m_angles,))
         return self._stencils.t_derivative_trace(u, bc)
+
+    def apply(self, u, boundary_values):
+        """The operator on an (n_t, M) field with Dirichlet samples on t = 1."""
+        u_t, u_tt, u_aa, u_ta = self.derivatives(u, boundary_values)
+        gtt, gta, gaa, ct = self._coeffs
+        return gtt * u_tt + 2.0 * gta * u_ta + gaa * u_aa + ct * u_t
+
+    def scaled_residual(self, u, rhs, boundary_values):
+        """max|A u - rhs| / (row_norm max|u| + max|rhs|), A applied node by node.
+
+        The residual is formed on the grid, not from a solver's own
+        representation, so a wrong mode bookkeeping in a solve shows.
+        """
+        rhs = _as_grid(rhs, (self.n_t, self.m_angles))
+        return _scaled(self.apply(u, boundary_values) - rhs, self.row_norm, u, rhs)
 
 
 class TubeOperator(_GridOperator):
@@ -286,7 +304,8 @@ class TubeOperator(_GridOperator):
             raise ConfigError(f"unknown angle scheme {self.angle_scheme!r}")
 
         gtt, gta, gaa, _, ct = laplacian_coefficients(self.profile, self.t, self.angles)
-        gtt, gta, gaa, ct = (np.broadcast_to(f, (n_t, m)).copy() for f in (gtt, gta, gaa, ct))
+        gtt, gta, gaa, ct = self._coeffs = tuple(
+            np.broadcast_to(f, (n_t, m)).copy() for f in (gtt, gta, gaa, ct))
         has_cross = bool(np.any(gta))
 
         st = self._stencils = RadialStencils(self.t, m, self.axis_shift)
@@ -354,6 +373,7 @@ class TubeOperator(_GridOperator):
         return u.reshape(self.n_t, self.m_angles)
 
     def scaled_residual(self, u, rhs, boundary_values):
+        """As the node-by-node residual, but with the assembled matrix."""
         rhs = _as_grid(rhs, (self.n_t, self.m_angles))
         bc = _as_grid(boundary_values, (self.m_angles,))
         r = self.matrix @ u.ravel() + self.boundary_matrix @ bc - rhs.ravel()
@@ -373,13 +393,12 @@ class TubeOperator(_GridOperator):
 class StraightTubeOperator(_GridOperator):
     """Tube Laplacian of the straight tube of radius ``lam``, mode by mode.
 
-    Same interface as :class:`TubeOperator` for ``solve``,
-    ``scaled_residual`` and ``t_derivative_trace``, with the Fourier angle
-    scheme and the default axis shift.  The coefficients depend on t only,
-    so the operator is diagonal in the angle modes k = 0..M/2: each is one
-    banded n_t x n_t radial system, built from the same stencils and
-    factorized when the operator is built.  ``row_norm`` is the largest
-    absolute row sum of the 2-D matrix, which ``scaled_residual`` uses.
+    Its ``solve`` takes the arguments of :meth:`TubeOperator.solve`; it
+    has the Fourier angle scheme and the default axis shift.  The
+    coefficients depend on t only, so the operator is diagonal in the angle
+    modes k = 0..M/2: each is one banded n_t x n_t radial system, built from
+    the same stencils and factorized when the operator is built.  The
+    residual applies the operator node by node, not per mode.
     """
 
     angle_scheme = "fourier"
@@ -395,13 +414,11 @@ class StraightTubeOperator(_GridOperator):
         st = self._stencils = RadialStencils(self.t, m, shift)
         gtt, _, gaa, _, ct = laplacian_coefficient_values(
             self.profile.axis, self.t, float(lam), 0.0, 0.0)
-        self._gtt, self._gaa, self._ct = gtt, gaa, ct
         self._d1a, self._d2a = fourier_diff_matrices(m)
-
         # the coefficients do not depend on the angle, so one angle column
         # stands for every row of the 2-D matrix
-        self.row_norm = _row_norm(st, self._d1a, self._d2a, shift, gtt[:, None],
-                                  np.zeros((n_t, 1)), gaa[:, None], ct[:, None])
+        self._coeffs = (gtt[:, None], 0.0, gaa[:, None], ct[:, None])
+        self.row_norm = _row_norm(st, self._d1a, self._d2a, shift, *self._coeffs)
 
         coef = gtt[:, None] * st.w2 + ct[:, None] * st.w1
         nodes = st.nodes
@@ -450,35 +467,20 @@ class StraightTubeOperator(_GridOperator):
             raise NumericalError("linear solve produced non-finite values")
         return u
 
-    def scaled_residual(self, u, rhs, boundary_values):
-        """As TubeOperator.scaled_residual, with the operator applied node by node.
-
-        The residual g^tt u_tt + g^aa u_aa + c_t u_t - rhs is formed on the
-        grid, not per mode, so a wrong mode bookkeeping in ``solve`` shows.
-        """
-        rhs = _as_grid(rhs, (self.n_t, self.m_angles))
-        bc = _as_grid(boundary_values, (self.m_angles,))
-        u_t, u_tt = self._stencils.radial_derivatives(u, bc)
-        r = (self._gtt[:, None] * u_tt + self._gaa[:, None] * (u @ self._d2a.T)
-             + self._ct[:, None] * u_t - rhs)
-        return _scaled(r, self.row_norm, u, rhs)
-
 
 class MatrixFreeTubeOperator(_GridOperator):
     """Laplace-Beltrami operator of one profile, applied without a matrix.
 
-    Same interface as :class:`TubeOperator` for ``solve``,
-    ``solve_interior``, ``scaled_residual``, ``derivatives`` and
-    ``t_derivative_trace``, with the Fourier angle scheme and the default
-    axis shift.  :meth:`apply` forms g^tt u_tt + 2 g^ta u_ta + g^aa u_aa +
-    c_t u_t node by node from the assembly's stencils, so it equals
-    ``matrix @ u + boundary_matrix @ boundary_values`` of the assembled
-    operator.  Solves run GMRES (Saad and Schultz, SIAM J. Sci. Stat.
-    Comput. 7, 1986), right-preconditioned by the straight tube of the
-    profile's mean radius, so the residual it minimizes is the true one.
-    ``row_norm`` is the exact largest absolute row sum of the assembled
-    matrix, and ``iterations`` the Krylov iteration count of the latest
-    solve (the most over its columns for ``solve_interior``).
+    Its ``solve`` and ``solve_interior`` take the arguments of the
+    :class:`TubeOperator` methods; it has the Fourier angle scheme and the
+    default axis shift.  The inherited ``apply`` forms g^tt u_tt +
+    2 g^ta u_ta + g^aa u_aa + c_t u_t node by node from the assembly's
+    stencils, so it equals ``matrix @ u + boundary_matrix @ boundary_values``
+    of the assembled operator.  Solves run GMRES (Saad and Schultz, SIAM J.
+    Sci. Stat. Comput. 7, 1986), right-preconditioned by the straight tube
+    of the profile's mean radius, so the residual it minimizes is the true
+    one.  ``iterations`` is the Krylov iteration count of the latest solve
+    (the most over its columns for ``solve_interior``).
     """
 
     angle_scheme = "fourier"
@@ -496,12 +498,6 @@ class MatrixFreeTubeOperator(_GridOperator):
                                   _default_axis_shift(profile.axis, self.m_angles),
                                   *self._coeffs)
         self.iterations = 0
-
-    def apply(self, u, boundary_values):
-        """The operator on an (n_t, M) field with Dirichlet samples on t = 1."""
-        u_t, u_tt, u_aa, u_ta = self.derivatives(u, boundary_values)
-        gtt, gta, gaa, ct = self._coeffs
-        return gtt * u_tt + 2.0 * gta * u_ta + gaa * u_aa + ct * u_t
 
     def solve(self, rhs, boundary_values):
         """Solve A u = rhs with Dirichlet data on t = 1, as TubeOperator.solve."""
@@ -524,11 +520,6 @@ class MatrixFreeTubeOperator(_GridOperator):
             col[:], its = self._gmres(b)
             self.iterations = max(self.iterations, its)
         return out
-
-    def scaled_residual(self, u, rhs, boundary_values):
-        """As TubeOperator.scaled_residual, with the operator applied node by node."""
-        rhs = _as_grid(rhs, (self.n_t, self.m_angles))
-        return _scaled(self.apply(u, boundary_values) - rhs, self.row_norm, u, rhs)
 
     def _gmres(self, b):
         """One restart-free GMRES cycle on a flat right-hand side: (x, iterations).

@@ -116,23 +116,6 @@ class CosineSeries:
             return 0.0
         return float(self.coeffs[mode])
 
-    def project(self, mode):
-        """L2-orthogonal projection onto span{cos(mode * a)}."""
-        return CosineSeries.basis(mode, self.coefficient(mode))
-
-    def drop(self, mode):
-        """Copy with the ``mode`` component removed."""
-        c = self.coeffs.copy()
-        if mode < c.size:
-            c[mode] = 0.0
-        return CosineSeries(c)
-
-    def truncated(self, max_mode):
-        c = np.zeros(max_mode + 1)
-        k = min(max_mode + 1, self.coeffs.size)
-        c[:k] = self.coeffs[:k]
-        return CosineSeries(c)
-
     def __add__(self, other):
         if isinstance(other, CosineSeries):
             n = max(self.coeffs.size, other.coeffs.size)

@@ -11,10 +11,10 @@ with theta in [0, pi/2]; the round metric pulls back to
 
 A boundary profile phi on one of the two circle factors defines the tube
 {theta < phi(angle)}, which is mapped onto the fixed reference domain
-{0 <= t < 1} by theta = t * phi(angle).  This module carries the pulled-back
-metric on the reference domain, its Laplace-Beltrami coefficients, volume and
-boundary-area quadrature, and the outward-normal weight that converts a
-radial derivative at t = 1 into a true normal derivative.
+{0 <= t < 1} by theta = t * phi(angle).  This module carries the
+Laplace-Beltrami coefficients of the pulled-back metric on the reference
+domain, volume and boundary-area quadrature, and the outward-normal weight
+that converts a radial derivative at t = 1 into a true normal derivative.
 
 Conventions: the "active" angle is the one the profile depends on (xi for
 ``Axis.XI``, eta for ``Axis.ETA``); the other ("passive") angle is cyclic and
@@ -28,11 +28,10 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DomainValidationError
-from .fourier import CosineSeries, angle_grid, cosine_coefficients
+from .fourier import CosineSeries, angle_grid
 
 __all__ = [
-    "Axis", "ModeIndex", "MetricAtPoint", "BoundaryProfile",
-    "metric_lambda", "metric_phi", "volume", "boundary_area",
+    "Axis", "ModeIndex", "BoundaryProfile", "volume", "boundary_area",
     "neumann_weight", "neumann_weight_values", "laplacian_coefficients",
     "laplacian_coefficient_values", "HALF_PI",
 ]
@@ -99,22 +98,6 @@ class ModeIndex:
         return (self.n, 0) if self.axis is Axis.ETA else (0, self.n)
 
 
-@dataclass(frozen=True)
-class MetricAtPoint:
-    """Metric components at one point of the reference domain.
-
-    Coordinates are ordered (t, active angle, passive angle); the passive
-    angle is orthogonal to the other two, so only g_ta couples directions.
-    ``sqrt_det`` is the volume density, vanishing exactly on the axis t = 0.
-    """
-
-    g_tt: float
-    g_ta: float
-    g_aa: float
-    g_bb: float
-    sqrt_det: float
-
-
 class BoundaryProfile:
     """Admissible boundary profile phi on one circle factor.
 
@@ -138,19 +121,13 @@ class BoundaryProfile:
 
     @classmethod
     def perturbed(cls, axis, lam, mode, amplitude):
-        """lam + amplitude * cos(mode * angle)."""
+        """lam + amplitude * cos(mode * angle); mode 0 shifts the radius."""
+        if mode < 0:
+            raise DomainValidationError(f"mode frequency must be >= 0, got {mode}")
         c = np.zeros(mode + 1)
         c[0] = lam
-        c[mode] = amplitude
+        c[mode] += amplitude
         return cls(axis, c)
-
-    @classmethod
-    def from_collocation(cls, axis, values, max_mode=None):
-        coeffs, residual = cosine_coefficients(values, max_mode)
-        if residual > 1e-10 * max(1.0, float(np.max(np.abs(values)))):
-            raise DomainValidationError(
-                f"collocation values are not even in the angle (sine residual {residual:.3e})")
-        return cls(axis, coeffs)
 
     # -- evaluation ----------------------------------------------------
     @property
@@ -206,61 +183,6 @@ class BoundaryProfile:
         return f"BoundaryProfile(axis={self.axis.value}, coeffs={self.coeffs})"
 
 
-def _check_lambda_t(lam, t):
-    lam = np.asarray(lam, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(lam <= 0.0) or np.any(lam >= HALF_PI):
-        raise DomainValidationError(f"lambda must lie in (0, pi/2), got {lam}")
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise DomainValidationError(f"t must lie in [0, 1], got {t}")
-    return lam, t
-
-
-def metric_lambda(lam, t):
-    """Pulled-back metric of the straight tube of radius ``lam`` at radius t.
-
-    Components are (lam^2, 0, sin^2(t lam), cos^2(t lam)) with density
-    lam sin(t lam) cos(t lam); the density vanishes only on the axis.
-    A straight tube has no preferred angle, so the components are reported
-    in the fixed coordinate order (t, eta, xi): ``g_aa`` is the eta-circle
-    coefficient.  ``metric_phi`` of a constant eta-profile reproduces this
-    componentwise; a constant xi-profile swaps the two angle slots.
-    """
-    lam, t = _check_lambda_t(lam, t)
-    s, c = np.sin(t * lam), np.cos(t * lam)
-    return MetricAtPoint(g_tt=lam * lam, g_ta=0.0 * s, g_aa=s * s, g_bb=c * c,
-                         sqrt_det=lam * s * c)
-
-
-def metric_phi(profile, t, angle):
-    """Pulled-back metric of the deformed tube at (t, active angle).
-
-    Derived from theta = t * phi(angle): with S = sin(t phi), C = cos(t phi),
-
-        XI case:  (phi^2, t phi phi', t^2 phi'^2 + C^2, S^2),
-        ETA case: (phi^2, t phi phi', t^2 phi'^2 + S^2, C^2),
-
-    both with density phi * S * C.  For a constant profile this reduces
-    componentwise to ``metric_lambda``.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise DomainValidationError(f"t must lie in [0, 1], got {t}")
-    phi = profile.value(angle)
-    dphi = profile.slope(angle)
-    s, c = np.sin(t * phi), np.cos(t * phi)
-    g_tt = phi * phi
-    g_ta = t * phi * dphi
-    if profile.axis is Axis.XI:
-        g_aa = (t * dphi) ** 2 + c * c
-        g_bb = s * s
-    else:
-        g_aa = (t * dphi) ** 2 + s * s
-        g_bb = c * c
-    return MetricAtPoint(g_tt=g_tt, g_ta=g_ta, g_aa=g_aa, g_bb=g_bb,
-                         sqrt_det=phi * s * c)
-
-
 def laplacian_coefficients(profile, t, angle):
     """Coefficients of the Laplace-Beltrami operator on the reference tube.
 
@@ -269,9 +191,10 @@ def laplacian_coefficients(profile, t, angle):
         L u = g^tt u_tt + 2 g^ta u_ta + g^aa u_aa + c_t u_t,
 
     (the first-order angular coefficient vanishes identically; this was
-    derived from the divergence form and is covered by the finite-difference
-    metric oracle in the tests).  Returns (g^tt, g^ta, g^aa, g^bb, c_t),
-    each broadcast over ``t`` x ``angle``.
+    derived from the divergence form, and the tests check every coefficient
+    against the inverse of a finite-difference pullback of the round
+    metric).  Returns (g^tt, g^ta, g^aa, g^bb, c_t), each broadcast over
+    ``t`` x ``angle``.
     """
     t = np.asarray(t, dtype=float)[:, None]
     phi = np.asarray(profile.value(angle), dtype=float)[None, :]

@@ -24,9 +24,8 @@ from .geometry import HALF_PI, Axis, BoundaryProfile, ModeIndex
 from .spectrum import sigma
 from .torsion import parse_resolution, solve_torsion
 
-__all__ = ["HarmonicExtension", "LApplication", "SpectralDecomposition",
-           "harmonic_extend", "apply_L", "fd_derivative_H", "resolvent_apply",
-           "spectral_decomposition", "constant_operator", "FDDerivativeTable"]
+__all__ = ["HarmonicExtension", "LApplication", "harmonic_extend", "apply_L",
+           "fd_derivative_H", "resolvent_apply", "constant_operator", "FDDerivativeTable"]
 
 DEFAULT_RESOLUTION = (256, 48)
 
@@ -219,31 +218,3 @@ def resolvent_apply(lam, j, v, axis=Axis.XI, truncation=32):
         if cm != 0.0:
             out[m] = cm / (sigma(ModeIndex(axis, m), lam) - sig_j)
     return CosineSeries(out)
-
-
-@dataclass
-class SpectralDecomposition:
-    """Mode-by-mode projections of boundary data with their eigenvalues."""
-
-    lam: float
-    axis: Axis
-    truncation: int
-    coefficients: np.ndarray
-    eigenvalues: np.ndarray
-
-    def reconstruct(self):
-        return CosineSeries(self.coefficients)
-
-    @property
-    def spectral_gap(self):
-        """Smallest nonzero |sigma_m|; reported alongside resolvent uses."""
-        nz = np.abs(self.eigenvalues[np.abs(self.eigenvalues) > 0.0])
-        return float(np.min(nz)) if nz.size else 0.0
-
-
-def spectral_decomposition(lam, w, axis=Axis.XI, truncation=32):
-    """Project boundary data on the cosine modes and attach sigma values."""
-    axis = Axis.coerce(axis)
-    w = _as_series(w).truncated(truncation)
-    eig = np.array([sigma(ModeIndex(axis, m), lam) for m in range(truncation + 1)])
-    return SpectralDecomposition(float(lam), axis, truncation, w.coeffs.copy(), eig)

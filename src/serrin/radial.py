@@ -8,14 +8,12 @@ with boundary flux dv/dtheta(lam) = -(1/2) tan(lam).  Every discrete solver
 in the package is validated against these formulas.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DomainValidationError
 from .geometry import HALF_PI
 
-__all__ = ["radial_torsion", "radial_torsion_slope", "radial_flux", "RadialSolution"]
+__all__ = ["radial_torsion", "radial_flux"]
 
 
 def _check(lam, theta):
@@ -38,12 +36,6 @@ def radial_torsion(lam, theta):
     return 0.5 * (np.log(np.cos(theta)) - np.log(np.cos(lam)))
 
 
-def radial_torsion_slope(lam, theta):
-    """dv/dtheta = -(1/2) tan(theta); vanishes on the axis by symmetry."""
-    lam, theta = _check(lam, theta)
-    return -0.5 * np.tan(theta)
-
-
 def radial_flux(lam):
     """Constant Neumann value -(1/2) tan(lam) of the straight tube.
 
@@ -54,27 +46,3 @@ def radial_flux(lam):
     if not 0.0 < lam < HALF_PI:
         raise DomainValidationError(f"lambda must lie in (0, pi/2), got {lam}")
     return -0.5 * np.tan(lam)
-
-
-@dataclass(frozen=True)
-class RadialSolution:
-    """Bundled radial reference for one tube radius."""
-
-    lam: float
-    flux: float = field(init=False)
-
-    def __post_init__(self):
-        lam = float(self.lam)
-        if not 0.0 < lam < HALF_PI:
-            raise DomainValidationError(f"lambda must lie in (0, pi/2), got {lam}")
-        object.__setattr__(self, "flux", radial_flux(lam))
-
-    def __call__(self, theta):
-        return radial_torsion(self.lam, theta)
-
-    def slope(self, theta):
-        return radial_torsion_slope(self.lam, theta)
-
-    def on_reference_grid(self, t):
-        """u(t) = v(t * lam) on the pulled-back domain."""
-        return radial_torsion(self.lam, np.asarray(t) * self.lam)

@@ -74,6 +74,12 @@ class TestCertificate:
         cert = check_cr_hypotheses(ModeIndex(XI, 2), truncation=8, resolution=(48, 32))
         assert cert.passed and calls == []
 
+    def test_truncation_below_the_kernel_mode_is_rejected_before_any_solve(self, monkeypatch):
+        calls = _record_calls(monkeypatch, branch, "find_lambda_n")
+        with pytest.raises(DomainValidationError, match="truncation 1"):
+            check_cr_hypotheses(ModeIndex(XI, 2), truncation=1)
+        assert calls == []
+
     def test_failure_carries_its_context(self):
         with pytest.raises(AnalysisError, match="hypothesis \\(iii\\)") as info:
             check_cr_hypotheses(ModeIndex(XI, 2), truncation=8, resolution=(48, 32),

@@ -84,6 +84,35 @@ class TestSolve:
         assert run(["solve", "--profile-json", str(pj),
                     "--resolution", "32x16", "--out", str(out)]) == 0
 
+    def test_mode_zero_amplitude_shifts_the_radius(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["solve", "--lam", "0.8", "--amplitude", "0.05",
+                    "--resolution", "32x16", "--out", str(out)]) == 0
+        header = json.loads((out / "torsion_field.json").read_text())
+        assert header["profile"]["coeffs"] == [0.8 + 0.05]
+
+    def test_negative_mode_is_config_error(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["solve", "--mode", "-1", "--amplitude", "0.05",
+                    "--resolution", "32x16", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_profile_json_conflicts_with_profile_options(self, tmp_path, source):
+        out = tmp_path / "out"
+        pj = tmp_path / "profile.json"
+        pj.write_text(json.dumps({"axis": "eta", "coeffs": [1.0, 0.0, 0.03]}))
+        args = ["solve", "--profile-json", str(pj), "--resolution", "32x16",
+                "--out", str(out)]
+        if source == "flag":
+            args += ["--lam", "0.8"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("amplitude = 0.05\n")
+            args += ["--config", str(cfg)]
+        assert run(args) == 2
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path):
@@ -149,6 +178,20 @@ class TestBranch:
         assert details["resolution"] == [48, 32] and details["truncation"] == 12
         assert len(details["sigmas"]) == 12 + 1
         assert abs(details["lambda_j"] - 1.358006174) < 1e-8
+
+
+class TestTruncation:
+    def test_branch_truncation_below_the_mode_is_config_error(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["branch", "--mode", "2", "--truncation", "1",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_negative_linearization_truncation_is_config_error(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["check-linearization", "--truncation", "-3",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestVerify:

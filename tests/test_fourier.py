@@ -29,11 +29,12 @@ def test_odd_content_reported():
     assert abs(residual - 0.25) < 1e-12
 
 
-def test_projection_and_drop():
+def test_coefficient_beyond_truncation_is_zero():
     s = CosineSeries([1.0, 0.5, 0.25])
-    assert s.project(1).coeffs.tolist() == [0.0, 0.5]
-    assert s.drop(1).coefficient(1) == 0.0
+    assert s.coefficient(1) == 0.5
     assert s.coefficient(17) == 0.0
+    with pytest.raises(DomainValidationError):
+        s.coefficient(-1)
 
 
 def test_arithmetic():

@@ -5,7 +5,7 @@ import pytest
 
 from serrin.errors import ConfigError, DomainValidationError
 from serrin.geometry import (Axis, BoundaryProfile, ModeIndex, boundary_area,
-                             metric_lambda, metric_phi, neumann_weight, volume)
+                             laplacian_coefficients, neumann_weight, volume)
 
 SPHERE_VOLUME = 2.0 * np.pi ** 2
 
@@ -39,42 +39,24 @@ def _fd_pullback(profile, t, a, b=0.4, h=1e-6):
     return jac.T @ g_amb @ jac
 
 
-class TestMetricLambda:
-    def test_quarter_pi_boundary(self):
-        m = metric_lambda(np.pi / 4, 1.0)
-        assert np.isclose(m.g_tt, np.pi ** 2 / 16)
-        assert np.isclose(m.g_aa, 0.5)
-        assert np.isclose(m.g_bb, 0.5)
-
-    def test_axis_degeneracy(self):
-        assert metric_lambda(np.pi / 4, 0.0).sqrt_det == 0.0
-
-    def test_density_formula(self):
-        m = metric_lambda(0.3, 0.5)
-        assert np.isclose(m.sqrt_det, 0.3 * np.sin(0.15) * np.cos(0.15), rtol=1e-15)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainValidationError):
-            metric_lambda(0.0, 0.5)
-        with pytest.raises(DomainValidationError):
-            metric_lambda(0.4, 1.5)
+def _fd_inverse_metric(profile, t, a):
+    g = _fd_pullback(profile, t, a)
+    return np.linalg.inv(g), np.sqrt(np.linalg.det(g))
 
 
-class TestMetricPhi:
-    def test_constant_profile_collapses_to_metric_lambda(self):
-        # metric_lambda reports in fixed (t, eta, xi) order; a constant
-        # eta-profile matches componentwise, a xi-profile swaps the angles
-        lam = 0.9
-        for t in (0.2, 0.7, 1.0):
-            ml = metric_lambda(lam, t)
-            mp_eta = metric_phi(BoundaryProfile.constant(Axis.ETA, lam), t, 1.3)
-            for name in ("g_tt", "g_ta", "g_aa", "g_bb", "sqrt_det"):
-                assert abs(getattr(mp_eta, name) - getattr(ml, name)) < 1e-14
-            mp_xi = metric_phi(BoundaryProfile.constant(Axis.XI, lam), t, 1.3)
-            assert abs(mp_xi.g_aa - ml.g_bb) < 1e-14
-            assert abs(mp_xi.g_bb - ml.g_aa) < 1e-14
-            assert abs(mp_xi.sqrt_det - ml.sqrt_det) < 1e-14
+def _fd_first_order(profile, t, a, h=1e-4):
+    # (c_t, c_a) = d_j(sqrt(g) g^ji) / sqrt(g), j over (t, a): the metric
+    # does not depend on the passive angle
+    def flux(tt, aa):
+        ginv, density = _fd_inverse_metric(profile, tt, aa)
+        return density * ginv[:2, :2]
 
+    d_t = (flux(t + h, a) - flux(t - h, a)) / (2.0 * h)
+    d_a = (flux(t, a + h) - flux(t, a - h)) / (2.0 * h)
+    return (d_t[0] + d_a[1]) / _fd_inverse_metric(profile, t, a)[1]
+
+
+class TestLaplacianCoefficients:
     @pytest.mark.parametrize("axis", [Axis.XI, Axis.ETA])
     def test_matches_fd_pullback_at_random_points(self, axis, rng):
         # the numerical Jacobian pullback is already in (t, a, b) order
@@ -82,29 +64,27 @@ class TestMetricPhi:
         for _ in range(10):
             t = rng.uniform(0.1, 1.0)
             a = rng.uniform(0.0, 2.0 * np.pi)
-            g_fd = _fd_pullback(prof, t, a)
-            m = metric_phi(prof, t, a)
-            assert abs(m.g_tt - g_fd[0, 0]) < 1e-8
-            assert abs(m.g_ta - g_fd[0, 1]) < 1e-8
-            assert abs(m.g_aa - g_fd[1, 1]) < 1e-8
-            assert abs(m.g_bb - g_fd[2, 2]) < 1e-8
-            assert abs(g_fd[0, 2]) < 1e-8 and abs(g_fd[1, 2]) < 1e-8
-
-    def test_density_at_quarter_pi_profile_value(self):
-        prof = BoundaryProfile(Axis.XI, [np.pi / 4])
-        m = metric_phi(prof, 1.0, 0.0)
-        assert np.isclose(m.sqrt_det, (np.pi / 4) * 0.5, rtol=1e-14)
+            gtt, gta, gaa, gbb, ct = (float(f[0, 0]) for f in
+                                      laplacian_coefficients(prof, [t], [a]))
+            ginv, _ = _fd_inverse_metric(prof, t, a)
+            assert abs(gtt - ginv[0, 0]) < 1e-7
+            assert abs(gta - ginv[0, 1]) < 1e-7
+            assert abs(gaa - ginv[1, 1]) < 1e-7
+            assert abs(gbb - ginv[2, 2]) < 1e-7
+            c_t, c_a = _fd_first_order(prof, t, a)
+            assert abs(ct - c_t) < 1e-4
+            assert abs(c_a) < 1e-4
 
     def test_positive_definiteness_minors(self, rng):
+        # the inverse metric is positive definite: the operator is elliptic
         for axis in (Axis.XI, Axis.ETA):
             prof = BoundaryProfile(axis, [0.6, 0.0, 0.1, 0.02])
-            for _ in range(25):
-                t = rng.uniform(1e-3, 1.0)
-                a = rng.uniform(0.0, 2 * np.pi)
-                m = metric_phi(prof, t, a)
-                assert m.g_tt > 0.0
-                assert m.g_tt * m.g_aa - m.g_ta ** 2 > 0.0
-                assert m.sqrt_det > 0.0
+            t = rng.uniform(1e-3, 1.0, 25)
+            a = rng.uniform(0.0, 2 * np.pi, 25)
+            gtt, gta, gaa, gbb, _ = laplacian_coefficients(prof, t, a)
+            assert np.all(gtt > 0.0)
+            assert np.all(gtt * gaa - gta ** 2 > 0.0)
+            assert np.all(gbb > 0.0)
 
 
 class TestQuadrature:
@@ -211,8 +191,3 @@ class TestProfilesAndTypes:
         assert np.allclose(clone.coeffs, prof.coeffs)
         payload = json.loads(prof.to_json())
         assert payload["n_modes"] == 2
-
-    def test_collocation_consistency(self):
-        prof = BoundaryProfile(Axis.XI, [0.7, 0.0, 0.1, 0.01])
-        back = BoundaryProfile.from_collocation(Axis.XI, prof.collocation(64))
-        assert np.allclose(back.coeffs[:4], prof.coeffs, atol=1e-14)

@@ -6,8 +6,7 @@ from serrin.errors import ConfigError, DomainValidationError
 from serrin.fourier import CosineSeries
 from serrin.geometry import Axis, ModeIndex
 from serrin.linearize import (apply_L, constant_operator, fd_derivative_H,
-                              harmonic_extend, resolvent_apply,
-                              spectral_decomposition)
+                              harmonic_extend, resolvent_apply)
 from serrin.modes import solve_l
 from serrin.spectrum import sigma
 from serrin.torsion import RESIDUAL_CAP, torsion_field
@@ -157,21 +156,6 @@ class TestResolvent:
     def test_kernel_component_precondition(self):
         with pytest.raises(DomainValidationError):
             resolvent_apply(0.8, 2, CosineSeries.basis(2), axis=XI)
-
-
-class TestSpectralDecomposition:
-    def test_reconstruction_and_projections(self):
-        w = CosineSeries([0.2, 0.0, 1.0, 0.5])
-        dec = spectral_decomposition(0.9, w, axis=XI, truncation=8)
-        assert np.allclose(dec.reconstruct().coeffs[:4], w.coeffs)
-        assert dec.eigenvalues.shape == (9,)
-        assert dec.spectral_gap > 0.0
-
-    def test_projections_are_orthogonal(self):
-        w = CosineSeries([0.0, 1.0, 2.0])
-        p1, p2 = w.project(1), w.project(2)
-        overlap = np.sum(p1.samples(32) * p2.samples(32))
-        assert abs(overlap) < 1e-12
 
 
 class TestDiscreteKernelStructure:

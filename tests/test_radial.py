@@ -3,8 +3,7 @@ import pytest
 
 from serrin.errors import DomainValidationError
 from serrin.geometry import Axis, BoundaryProfile, boundary_area, volume
-from serrin.radial import (RadialSolution, radial_flux, radial_torsion,
-                           radial_torsion_slope)
+from serrin.radial import radial_flux, radial_torsion
 
 
 def test_boundary_condition_and_positivity():
@@ -30,11 +29,6 @@ def test_torsion_equation_residual_by_finite_differences():
     assert abs(residual) < 1e-8
 
 
-def test_axis_symmetry_of_slope():
-    assert radial_torsion_slope(0.7, 0.0) == 0.0
-    assert np.all(radial_torsion_slope(0.7, np.linspace(0, 0.7, 20)) <= 0.0)
-
-
 def test_flux_values():
     assert np.isclose(radial_flux(np.pi / 4), -0.5, rtol=1e-15)
     assert -1e-3 < radial_flux(1e-3) < 0.0
@@ -50,10 +44,9 @@ def test_pulled_back_equation_on_reference_grid():
     # u(t) = v(t lam) must solve the pulled-back equation; finite-difference
     # residual of -u''/lam^2 - (cot - tan)(t lam) u'/lam = 1
     lam = 0.95
-    sol = RadialSolution(lam)
     t = np.linspace(0.1, 0.9, 401)
     h = t[1] - t[0]
-    u = sol.on_reference_grid(t)
+    u = radial_torsion(lam, t * lam)
     d1 = np.gradient(u, h, edge_order=2)
     d2 = (u[2:] - 2 * u[1:-1] + u[:-2]) / h ** 2
     coeff = (1.0 / np.tan(t * lam) - np.tan(t * lam)) / lam
@@ -73,4 +66,4 @@ def test_domain_validation():
     with pytest.raises(DomainValidationError):
         radial_flux(2.0)
     with pytest.raises(DomainValidationError):
-        RadialSolution(0.0)
+        radial_torsion(0.0, 0.0)
