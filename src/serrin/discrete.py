@@ -28,7 +28,13 @@ mode included) and the reflected nodes with the factor 1 for xi and
 (-1)^k for eta, the half-period shift.  :class:`StraightTubeOperator` thus
 solves one banded n_t x n_t radial system per mode between an rfft and an
 irfft, with the stencils of :class:`RadialStencils` that the 2-D
-:class:`TubeOperator` assembles from.
+:class:`TubeOperator` assembles from.  The mode systems sit side by side in
+one block-diagonal band, so one LAPACK ``dgbtrf`` factorizes them all and
+one ``dgbtrs`` solves them all.
+
+The oracle's sparse LU orders its columns by minimum degree on A^T + A
+(George and Liu, SIAM Review 31, 1989): each radial row carries a dense
+angular block, which SuperLU's default column ordering fills badly.
 
 Which operator serves which caller:
 
@@ -68,30 +74,34 @@ KRYLOV_RTOL = 1e-14
 def fd_weights(x0, x, max_order):
     """Finite-difference weights on arbitrary nodes (Fornberg's recursion).
 
-    Returns an array of shape (len(x), max_order+1); column m holds the
-    weights of the m-th derivative at ``x0``.
+    ``x0`` is one point or an array of points, and ``x`` holds the n nodes
+    of each, shape ``x0.shape + (n,)``: the recursion runs once,
+    elementwise over the points.  Returns an array of shape
+    ``x0.shape + (n, max_order+1)``; column m holds the weights of the m-th
+    derivative at ``x0``.
     """
+    x0 = np.asarray(x0, dtype=float)
     x = np.asarray(x, dtype=float)
-    n = x.size
-    c = np.zeros((n, max_order + 1))
+    n = x.shape[-1]
+    c = np.zeros(x.shape + (max_order + 1,))
     c1 = 1.0
-    c4 = x[0] - x0
-    c[0, 0] = 1.0
+    c4 = x[..., 0] - x0
+    c[..., 0, 0] = 1.0
     for i in range(1, n):
         mn = min(i, max_order)
         c2 = 1.0
         c5 = c4
-        c4 = x[i] - x0
+        c4 = x[..., i] - x0
         for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
+            c3 = x[..., i] - x[..., j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+                    c[..., i, k] = c1 * (k * c[..., i - 1, k - 1] - c5 * c[..., i - 1, k]) / c2
+                c[..., i, 0] = -c1 * c5 * c[..., i - 1, 0] / c2
             for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
+                c[..., j, k] = (c4 * c[..., j, k] - k * c[..., j, k - 1]) / c3
+            c[..., j, 0] = c4 * c[..., j, 0] / c3
         c1 = c2
     return c
 
@@ -174,15 +184,9 @@ class RadialStencils:
         width = 2 * hw + 1
         ext = np.concatenate([-t[hw - 1::-1], t, [1.0]])
         n_ext = ext.size
-        self.w1 = np.empty((n_t, width))
-        self.w2 = np.empty((n_t, width))
-        self.lows = np.empty(n_t, dtype=int)
-        for i in range(n_t):
-            lo = min(max(i, 0), n_ext - width)
-            self.lows[i] = lo
-            w = fd_weights(t[i], ext[lo:lo + width], 2)
-            self.w1[i] = w[:, 1]
-            self.w2[i] = w[:, 2]
+        self.lows = np.minimum(np.arange(n_t), n_ext - width)
+        w = fd_weights(t, ext[self.nodes], 2)
+        self.w1, self.w2 = w[..., 1], w[..., 2]
 
         # 32-bit indices are what a CSC matrix stores, and they halve the
         # COO index arrays of the 2-D assembly
@@ -204,7 +208,7 @@ class RadialStencils:
     @property
     def nodes(self):
         """(n_t, 2*HALF_WIDTH + 1) extended-node indices of each row's stencil."""
-        return self.lows[:, None] + np.arange(self.w1.shape[1])
+        return self.lows[:, None] + np.arange(2 * HALF_WIDTH + 1)
 
     def radial_derivatives(self, u, boundary_values):
         """(u_t, u_tt) of an (n_t, M) field with Dirichlet samples on t = 1."""
@@ -353,7 +357,7 @@ class TubeOperator(_GridOperator):
     def lu(self):
         if self._lu is None:
             try:
-                self._lu = spla.splu(self.matrix)
+                self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:
                 raise NumericalError(f"sparse factorization failed: {exc}") from exc
         return self._lu
@@ -397,8 +401,11 @@ class StraightTubeOperator(_GridOperator):
     has the Fourier angle scheme and the default axis shift.  The
     coefficients depend on t only, so the operator is diagonal in the angle
     modes k = 0..M/2: each is one banded n_t x n_t radial system, built from
-    the same stencils and factorized when the operator is built.  The
-    residual applies the operator node by node, not per mode.
+    the same stencils.  The M/2 + 1 systems form one block-diagonal band of
+    order (M/2 + 1) n_t, factorized by one ``dgbtrf`` when the operator is
+    built; ``solve`` is one ``dgbtrs`` with the real and imaginary parts as
+    two right-hand sides.  The residual applies the operator node by node,
+    not per mode.
     """
 
     angle_scheme = "fourier"
@@ -441,28 +448,32 @@ class StraightTubeOperator(_GridOperator):
         k = np.arange(m // 2 + 1)
         sign = (-1.0) ** k if shift else np.ones(k.size)
         eigen = np.fft.rfft(self._d2a[:, 0]).real
-        # one allocation holds every mode's band, each slice in the column
-        # order LAPACK works on, so the factors need no copies
-        self._bands = np.empty((k.size, n_t, direct.shape[0])).transpose(0, 2, 1)
-        self._bands[...] = direct + sign[:, None, None] * mirrored
-        self._bands[:, kl + ku] += eigen[:, None] * gaa
-        self._piv = np.empty((k.size, n_t), dtype=np.int32)
-        for band, piv in zip(self._bands, self._piv):
-            band[...], piv[:], info = lapack.dgbtrf(band, kl, ku, overwrite_ab=1)
-            if info != 0:
-                raise NumericalError(f"radial block factorization failed (info {info})")
+        # the mode bands side by side, mode k on columns k*n_t .. (k+1)*n_t - 1,
+        # are one band of a block-diagonal matrix; filled per mode, the
+        # array is the Fortran layout LAPACK works on, so the factors need
+        # no copy.  Below a block's last columns the next block holds zeros,
+        # so no pivot leaves its block and the factors are the mode factors.
+        stacked = np.empty((k.size, n_t, direct.shape[0]))
+        bands = stacked.transpose(0, 2, 1)
+        bands[...] = direct + sign[:, None, None] * mirrored
+        bands[:, kl + ku] += eigen[:, None] * gaa
+        self._band, self._piv, info = lapack.dgbtrf(
+            stacked.reshape(k.size * n_t, -1).T, kl, ku, overwrite_ab=1)
+        if info != 0:
+            raise NumericalError(f"radial block factorization failed (info {info})")
 
     def solve(self, rhs, boundary_values):
         """Solve A u = rhs with Dirichlet data on t = 1, as TubeOperator.solve."""
         rhs = _as_grid(rhs, (self.n_t, self.m_angles))
         bc = _as_grid(boundary_values, (self.m_angles,))
         b = np.fft.rfft(rhs, axis=1) - self._boundary_coef[:, None] * np.fft.rfft(bc)
-        # per mode, the real and imaginary parts are two right-hand sides
-        x = np.empty((b.shape[1], 2, self.n_t))
-        x[:, 0], x[:, 1] = b.real.T, b.imag.T
-        for band, piv, col in zip(self._bands, self._piv, x):
-            col.T[...], _ = lapack.dgbtrs(band, self._kl, self._ku, col.T, piv, overwrite_b=1)
-        u = np.fft.irfft((x[:, 0] + 1j * x[:, 1]).T, n=self.m_angles, axis=1)
+        # the real and imaginary parts of every mode are two right-hand sides
+        x = np.empty((2, b.shape[1], self.n_t))
+        x[0], x[1] = b.real.T, b.imag.T
+        x, _ = lapack.dgbtrs(self._band, self._kl, self._ku,
+                             x.reshape(2, -1).T, self._piv, overwrite_b=1)
+        x = x.T.reshape(2, b.shape[1], self.n_t)
+        u = np.fft.irfft((x[0] + 1j * x[1]).T, n=self.m_angles, axis=1)
         if not np.all(np.isfinite(u)):
             raise NumericalError("linear solve produced non-finite values")
         return u

@@ -70,6 +70,8 @@ class CosineSeries:
     @classmethod
     def basis(cls, mode, amplitude=1.0):
         """amplitude * cos(mode * a)."""
+        if mode < 0:
+            raise DomainValidationError(f"mode frequency must be >= 0, got {mode}")
         c = np.zeros(mode + 1)
         c[mode] = amplitude
         return cls(c)

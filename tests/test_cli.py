@@ -97,6 +97,11 @@ class TestSolve:
                     "--resolution", "32x16", "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_negative_linearization_mode_is_config_error(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["check-linearization", "--mode", "-1", "--out", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_profile_json_conflicts_with_profile_options(self, tmp_path, source):
         out = tmp_path / "out"

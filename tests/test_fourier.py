@@ -13,6 +13,11 @@ def test_basis_evaluation():
     assert np.allclose(s.second_derivative(a), -4.5 * np.cos(3 * a))
 
 
+def test_negative_basis_mode_rejected():
+    with pytest.raises(DomainValidationError):
+        CosineSeries.basis(-1)
+
+
 def test_sample_roundtrip():
     coeffs = np.array([0.3, 0.0, -0.2, 0.07, 0.0, 1e-3])
     s = CosineSeries(coeffs)

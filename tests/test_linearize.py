@@ -96,6 +96,16 @@ class TestStraightTubeOperator:
             assert np.max(np.abs(u_fast - u_slow)) < 1e-10
 
     @pytest.mark.parametrize("axis", [XI, ETA])
+    @pytest.mark.parametrize("lam", [0.15, 0.8, 1.5])
+    @pytest.mark.parametrize("n_t, m", [(8, 4), (64, 64), (256, 48)])
+    def test_no_pivot_leaves_its_mode_block(self, axis, lam, n_t, m):
+        # the modes share one block-diagonal band, which is only their
+        # direct sum if partial pivoting keeps every row in its block
+        piv = StraightTubeOperator(axis, lam, n_t, m)._piv
+        assert piv.size == (m // 2 + 1) * n_t
+        assert np.array_equal(piv // n_t, np.arange(piv.size) // n_t)
+
+    @pytest.mark.parametrize("axis", [XI, ETA])
     def test_residual_catches_a_wrong_field(self, axis):
         fast = StraightTubeOperator(axis, 0.8, 48, 32)
         u = fast.solve(-1.0, 0.0)
