@@ -165,6 +165,8 @@ def cmd_roots(ns):
     if opts.n_min < 2:
         raise ConfigError(
             f"bifurcation analysis needs modes n >= 2, got n_min={opts.n_min}")
+    if opts.n_min > opts.n_max:
+        raise ConfigError(f"need n_min <= n_max, got {opts.n_min}..{opts.n_max}")
     out = _out_dir(ns)
     for axis in _axes(opts.axis):
         records = []

@@ -22,14 +22,22 @@ whose values feed the eigenvalue curves in :mod:`serrin.spectrum`.  Both
 integrations switch to the reciprocal variable past lam = 1.2 where the
 xi-family blows up like n/(pi/2 - lam) (the eta-family is merely stiff
 there; the same change of variable tames both).
+
+The scalar Riccati equations are integrated by DOP853 (Hairer, Norsett and
+Wanner, Solving ODEs I, II.5-II.6) stepped on Python floats with scipy's
+tableau and step control; each accepted step leaves one row of dense-output
+coefficients, and a curve is evaluated from those tables in one vectorized
+pass.  The linear mode ODE of :func:`solve_l` keeps scipy's ``solve_ivp``,
+so it stays an independent route to the same curves.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from .errors import ConsistencyError, DomainValidationError, NumericalError, PrecisionError
 from .geometry import HALF_PI, Axis, ModeIndex
@@ -286,23 +294,150 @@ def _check_mode_solution(ms):
 
 
 # ----------------------------------------------------------------------
+# scalar DOP853 with dense output
+# ----------------------------------------------------------------------
+#
+# Python floats, because numpy's per-call overhead on a length-1 state costs
+# ten times the right-hand side.  The tableau is read from scipy's DOP853
+# class; each stage keeps only its nonzero (index, coefficient) pairs.
+
+def _nonzero(row):
+    return tuple((i, a) for i, a in enumerate(row) if a != 0.0)
+
+
+_N_STAGES = DOP853.n_stages
+_STAGES = tuple((c, _nonzero(a[:s])) for s, (a, c) in
+                enumerate(zip(DOP853.A.tolist(), DOP853.C.tolist())) if s)
+_WEIGHTS = _nonzero(DOP853.B.tolist())
+_ERR3, _ERR5 = _nonzero(DOP853.E3.tolist()), _nonzero(DOP853.E5.tolist())
+_EXTRA_STAGES = tuple((c, _nonzero(a[:s])) for s, (a, c) in
+                      enumerate(zip(DOP853.A_EXTRA.tolist(), DOP853.C_EXTRA.tolist()),
+                                start=_N_STAGES + 1))
+_DENSE = tuple(_nonzero(row) for row in DOP853.D.tolist())
+_ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+
+
+def _combine(pairs, k):
+    acc = 0.0
+    for i, a in pairs:
+        acc += a * k[i]
+    return acc
+
+
+def _initial_step(rhs, t, y, f, t_end, rtol, atol):
+    """Hairer's starting step (II.4), as scipy's ``select_initial_step``."""
+    interval = t_end - t
+    scale = atol + abs(y) * rtol
+    d0, d1 = abs(y / scale), abs(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    d2 = abs((rhs(t + h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+    return min(100.0 * h0, h1, interval)
+
+
+def _dop853_table(rhs, t, y, t_end, rtol, atol, details):
+    """Integrate the scalar ODE y' = rhs(t, y) from t to t_end > t.
+
+    Returns the dense-output table: one row (t_old, h, y_old, F_0..F_6) per
+    accepted step, F being DOP853's interpolation coefficients.  The step
+    control is scipy's: the E5/E3 error norm, safety factor 0.9, factor
+    limits 0.2 and 10, no growth right after a rejection and a minimum step
+    of 10 ulp of t.  A step below that minimum or a non-finite value raises
+    a :class:`NumericalError` whose ``details`` extend ``details`` with the
+    lambda reached, the last step and ``rtol``.
+    """
+    h = None
+
+    def fail(reason):
+        err = NumericalError(f"Riccati integration failed: {reason} at lam={t:.6g}")
+        err.details = {**details, "lam": t, "step": h, "rtol": rtol}
+        return err
+
+    f = rhs(t, y)
+    if not (math.isfinite(y) and math.isfinite(f)):
+        raise fail("non-finite value")
+    h_abs = _initial_step(rhs, t, y, f, t_end, rtol, atol)
+    k = [0.0] * (_N_STAGES + 1 + len(_EXTRA_STAGES))
+    rows = []
+    while t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise fail("step size fell below the minimum")
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
+            k[0] = f
+            for s, (c, pairs) in enumerate(_STAGES, start=1):
+                k[s] = rhs(t + c * h, y + _combine(pairs, k) * h)
+            y_new = y + h * _combine(_WEIGHTS, k)
+            k[_N_STAGES] = f_new = rhs(t_new, y_new)
+            scale = atol + max(abs(y), abs(y_new)) * rtol
+            err5 = _combine(_ERR5, k) / scale
+            err3 = _combine(_ERR3, k) / scale
+            err5, err3 = err5 * err5, err3 * err3
+            norm = 0.0 if err5 == 0.0 and err3 == 0.0 else \
+                h * err5 / math.sqrt(err5 + 0.01 * err3)
+            if norm < 1.0:
+                factor = _MAX_FACTOR if norm == 0.0 else \
+                    min(_MAX_FACTOR, _SAFETY * norm ** _ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * norm ** _ERROR_EXPONENT)
+            rejected = True
+        if not (math.isfinite(y_new) and math.isfinite(f_new)):
+            raise fail("non-finite value")
+        for s, (c, pairs) in enumerate(_EXTRA_STAGES, start=_N_STAGES + 1):
+            k[s] = rhs(t + c * h, y + _combine(pairs, k) * h)
+        dy = y_new - y
+        rows.append((t, h, y, dy, h * f - dy, 2.0 * dy - h * (f_new + f),
+                     *(h * _combine(pairs, k) for pairs in _DENSE)))
+        t, y, f = t_new, y_new, f_new
+    return np.array(rows)
+
+
+def _dense_eval(rows, x):
+    """DOP853 interpolant of each table row at the matching point of x."""
+    s = (x - rows[:, 0]) / rows[:, 1]
+    s1 = 1.0 - s
+    y = np.zeros_like(s)
+    for i, col in enumerate(range(rows.shape[1] - 1, 2, -1)):
+        y += rows[:, col]
+        y *= s1 if i % 2 else s
+    return y + rows[:, 2]
+
+
+# ----------------------------------------------------------------------
 # Riccati sweeps
 # ----------------------------------------------------------------------
 
 class RiccatiSolution:
     """Dense-output logarithmic derivative of one mode family.
 
-    Evaluates f_n (xi) or k_n (eta) anywhere in (0, lam_max]; below the
-    launch radius the Frobenius series is used directly.
+    Evaluates f_n (xi) or k_n (eta) anywhere in (0, lam_max].  Below the
+    launch radius the Frobenius series is used point by point.  Above it,
+    the direct step table on [lam0, switch] and the reciprocal one on
+    [switch, lam_max] (rows of :func:`_dop853_table`) are stacked, and
+    :meth:`values` locates every lambda with one ``searchsorted`` over their
+    step starts; at a step boundary the earlier step is used.
     """
 
     def __init__(self, mode, lam0, lam_max, direct, reciprocal, series_order):
         self.mode = mode
         self.lam0 = lam0
         self.lam_max = lam_max
-        self._direct = direct          # OdeSolution on [lam0, switch]
-        self._reciprocal = reciprocal  # OdeSolution on [switch, lam_max] or None
         self._order = series_order
+        self._n_direct = 0 if direct is None else len(direct)
+        self._rows = None if direct is None else \
+            np.concatenate([direct] + ([] if reciprocal is None else [reciprocal]))
+        # step k covers (start_k, start_k+1]: searchsorted here is its index
+        self._inner_starts = None if direct is None else self._rows[1:, 0].copy()
 
     def value(self, lam):
         return float(self.values(np.asarray([lam]))[0])
@@ -314,41 +449,41 @@ class RiccatiSolution:
                 f"lambda outside swept range (0, {self.lam_max:.6f}]")
         if self.mode.n == 0:
             return np.zeros_like(lam)
-        out = np.empty_like(lam)
+        flat = lam.ravel()
+        x = np.clip(flat, self.lam0, self.lam_max)   # the series overwrites x < lam0
+        idx = np.searchsorted(self._inner_starts, x)
+        out = _dense_eval(self._rows[idx], x)
+        np.divide(1.0, out, out=out, where=idx >= self._n_direct)
         eps, delta = self.mode.eps_delta
-        eta_scaled = self.mode.axis is Axis.ETA
-        flat = out.ravel()
-        for i, x in enumerate(lam.ravel()):
-            if x < self.lam0:
-                val, der = _series_eval(eps, delta, x, self._order)
-                flat[i] = x * der / val if eta_scaled else der / val
-            elif self._reciprocal is not None and x > self._reciprocal.t_min:
-                flat[i] = 1.0 / self._reciprocal(x)[0]
-            else:
-                flat[i] = self._direct(min(x, self._direct.t_max))[0]
-        return out
+        for i in np.flatnonzero(flat < self.lam0):
+            val, der = _series_eval(eps, delta, flat[i], self._order)
+            out[i] = flat[i] * der / val if self.mode.axis is Axis.ETA else der / val
+        return out.reshape(lam.shape)
 
 
 def _riccati_rhs(mode):
     n2 = float(mode.n ** 2)
+    tan, sin, cos = math.tan, math.sin, math.cos
     if mode.axis is Axis.XI:
         def rhs(lam, y):
-            t, c = np.tan(lam), 1.0 / np.tan(lam)
-            return [(t - c) * y[0] - y[0] ** 2 + n2 / np.cos(lam) ** 2]
+            t = tan(lam)
+            c = cos(lam)
+            return (t - 1.0 / t) * y - y * y + n2 / (c * c)
 
         def rhs_recip(lam, y):
-            t, c = np.tan(lam), 1.0 / np.tan(lam)
-            return [-(t - c) * y[0] + 1.0 - n2 * (y[0] / np.cos(lam)) ** 2]
+            t = tan(lam)
+            q = y / cos(lam)
+            return -(t - 1.0 / t) * y + 1.0 - n2 * (q * q)
     else:
         def rhs(lam, y):
-            t, c = np.tan(lam), 1.0 / np.tan(lam)
-            return [(t - c + 1.0 / lam) * y[0] - y[0] ** 2 / lam
-                    + n2 * lam / np.sin(lam) ** 2]
+            t = tan(lam)
+            s = sin(lam)
+            return (t - 1.0 / t + 1.0 / lam) * y - y * y / lam + n2 * lam / (s * s)
 
         def rhs_recip(lam, y):
-            t, c = np.tan(lam), 1.0 / np.tan(lam)
-            return [-(t - c + 1.0 / lam) * y[0] + 1.0 / lam
-                    - n2 * lam * (y[0] / np.sin(lam)) ** 2]
+            t = tan(lam)
+            q = y / sin(lam)
+            return -(t - 1.0 / t + 1.0 / lam) * y + 1.0 / lam - n2 * lam * (q * q)
     return rhs, rhs_recip
 
 
@@ -360,9 +495,12 @@ def riccati_solution(mode, rtol=1e-10, lam_max=LAMBDA_MAX,
 
     Starts from the series-generated value at the launch radius (which
     carries f_n ~ n^2 lam / 2 for xi modes and k_n -> n for eta modes) and
-    integrates with an adaptive embedded pair; past lam = 1.2 the reciprocal
-    variable is integrated instead so the blow-up of the xi family near
-    pi/2 stays well scaled.
+    integrates with the scalar DOP853 stepper :func:`_dop853_table`; past
+    lam = 1.2 the reciprocal variable is integrated instead so the blow-up
+    of the xi family near pi/2 stays well scaled.  A failed integration
+    raises a :class:`NumericalError` whose ``details`` name the mode, the
+    segment (``direct`` or ``reciprocal``), the lambda reached, the last
+    step and the integration rtol.
 
     ``_initial_shift`` deliberately corrupts the launch value; it exists so
     the verification battery can prove its bound monitors are not vacuous.
@@ -375,6 +513,9 @@ def riccati_solution(mode, rtol=1e-10, lam_max=LAMBDA_MAX,
 
     eps, delta = mode.eps_delta
     lam0 = float(launch_radius)
+    switch = min(RECIPROCAL_SWITCH, lam_max)
+    if not 0.0 < lam0 < switch:
+        raise DomainValidationError(f"launch_radius must lie in (0, {switch:.6f})")
     val, der = _series_eval(eps, delta, lam0, series_order)
     y0 = der / val
     if mode.axis is Axis.ETA:
@@ -385,20 +526,15 @@ def riccati_solution(mode, rtol=1e-10, lam_max=LAMBDA_MAX,
     # a genuine accuracy level (halving it must move results by less)
     ivp_rtol = max(rtol / 25.0, 1e-13)
     rhs, rhs_recip = _riccati_rhs(mode)
-    switch = min(RECIPROCAL_SWITCH, lam_max)
-    direct = solve_ivp(rhs, (lam0, switch), [y0], method="DOP853",
-                       rtol=ivp_rtol, atol=1e-14, dense_output=True)
-    if not direct.success:
-        raise NumericalError(f"Riccati integration failed: {direct.message}")
+    where = {"mode": [mode.axis.value, mode.n]}
+    direct = _dop853_table(rhs, lam0, float(y0), switch, ivp_rtol, 1e-14,
+                           {**where, "segment": "direct"})
     reciprocal = None
     if lam_max > switch:
-        r0 = 1.0 / direct.sol(switch)[0]
-        reciprocal = solve_ivp(rhs_recip, (switch, lam_max), [r0], method="DOP853",
-                               rtol=ivp_rtol, atol=1e-16, dense_output=True)
-        if not reciprocal.success:
-            raise NumericalError(f"Riccati integration failed: {reciprocal.message}")
-        reciprocal = reciprocal.sol
-    return RiccatiSolution(mode, lam0, lam_max, direct.sol, reciprocal, series_order)
+        r0 = 1.0 / float(_dense_eval(direct[-1:], np.asarray([switch]))[0])
+        reciprocal = _dop853_table(rhs_recip, switch, r0, lam_max, ivp_rtol, 1e-16,
+                                   {**where, "segment": "reciprocal"})
+    return RiccatiSolution(mode, lam0, lam_max, direct, reciprocal, series_order)
 
 
 @dataclass(frozen=True)

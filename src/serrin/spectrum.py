@@ -35,21 +35,24 @@ def _sigma_from_lprime(lam, l_prime):
     return np.tan(lam) / (2.0 * lam) * l_prime - 0.5 / np.cos(lam) ** 2
 
 
-def sigma_values(mode, lam, rtol=1e-10):
-    """sigma_n on an array of radii, through the cached Riccati sweep."""
-    mode = ModeIndex.coerce(mode)
+def _sigma_and_riccati(mode, lam, rtol):
+    """(sigma_n, f_n or k_n) on an array of radii from one Riccati evaluation."""
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 0.0) or np.any(lam >= HALF_PI):
         raise DomainValidationError("lambda must lie in (0, pi/2)")
     if mode.n == 0:
-        return -0.5 / np.cos(lam) ** 2
-    sol = riccati_solution(mode, rtol=rtol)
-    vals = sol.values(lam)
+        return -0.5 / np.cos(lam) ** 2, np.zeros_like(lam)
+    vals = riccati_solution(mode, rtol=rtol).values(lam)
     if mode.axis is Axis.XI:
         l_prime = lam * vals          # f_n = L'/L, l'(1) = lam f_n
     else:
         l_prime = vals                # k_n = l'(1) directly
-    return _sigma_from_lprime(lam, l_prime)
+    return _sigma_from_lprime(lam, l_prime), vals
+
+
+def sigma_values(mode, lam, rtol=1e-10):
+    """sigma_n on an array of radii, through the cached Riccati sweep."""
+    return _sigma_and_riccati(ModeIndex.coerce(mode), lam, rtol)[0]
 
 
 def sigma(mode, lam, rtol=1e-10):
@@ -85,12 +88,7 @@ def eigen_curve(mode, lam_grid=None, rtol=1e-10):
     if lam_grid is None:
         lam_grid = chebyshev_grid(400)
     lam_grid = np.asarray(lam_grid, dtype=float)
-    sig = sigma_values(mode, lam_grid, rtol)
-    if mode.n == 0:
-        ric = np.zeros_like(lam_grid)
-    else:
-        ric = riccati_solution(mode, rtol=rtol).values(lam_grid)
-    return EigenCurve(mode, lam_grid, sig, ric)
+    return EigenCurve(mode, lam_grid, *_sigma_and_riccati(mode, lam_grid, rtol))
 
 
 @dataclass(frozen=True)

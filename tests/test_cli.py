@@ -62,6 +62,11 @@ class TestRoots:
     def test_low_mode_rejected(self, tmp_path):
         assert run(["roots", "--n-min", "1", "--out", str(tmp_path)]) == 2
 
+    def test_empty_mode_range_is_config_error(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["roots", "--n-min", "5", "--n-max", "3", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestSolve:
     def test_writes_field_files(self, tmp_path):

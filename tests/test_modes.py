@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from serrin.errors import ConsistencyError, DomainValidationError, PrecisionError
+from serrin.errors import ConsistencyError, DomainValidationError, NumericalError, PrecisionError
 from serrin.geometry import Axis, ModeIndex
-from serrin.modes import (Endpoint, chebyshev_grid, frobenius_launch,
+from serrin.modes import (LAMBDA_MAX, RECIPROCAL_SWITCH, Endpoint, _dop853_table,
+                          _riccati_rhs, chebyshev_grid, frobenius_launch,
                           indicial_roots, riccati_bounds, riccati_solution,
                           riccati_sweep, solve_l)
 
@@ -151,6 +153,10 @@ class TestRiccati:
                 else:
                     assert np.min(margin) > 0.0, f"{axis} n={n} lower"
 
+    def test_launch_radius_must_precede_the_switch(self):
+        with pytest.raises(DomainValidationError):
+            riccati_solution(ModeIndex(XI, 2), lam_max=0.5, launch_radius=0.5)
+
     def test_xi_one_lower_bound_genuinely_fails(self):
         # the n tan(lam) comparison is an n >= 2 statement; document that
         # n = 1 sits strictly below it so the bound is not monitored there
@@ -183,3 +189,87 @@ class TestRiccati:
         assert details["mode"] == ["xi", 2] and details["bound_tol"] == 1e-7
         assert details["lam"] in grid
         assert details["bound"] - details["value"] > 1e-7 * max(1.0, details["bound"])
+
+
+def _solve_ivp_riccati(mode, rtol=1e-10):
+    """The Riccati curve of ``riccati_solution`` integrated by scipy's solve_ivp.
+
+    Same launch value, right-hand sides, segments and tolerances; returns
+    an evaluator on [lam0, LAMBDA_MAX] and the number of accepted steps.
+    """
+    lam0 = 1e-3
+    val, der = frobenius_launch(mode, launch_radius=lam0)
+    y0 = der / val * (lam0 if mode.axis is ETA else 1.0)
+    rhs, rhs_recip = _riccati_rhs(mode)
+    ivp_rtol = max(rtol / 25.0, 1e-13)
+    direct = solve_ivp(lambda t, y: [rhs(t, y[0])], (lam0, RECIPROCAL_SWITCH), [y0],
+                       method="DOP853", rtol=ivp_rtol, atol=1e-14, dense_output=True)
+    recip = solve_ivp(lambda t, y: [rhs_recip(t, y[0])], (RECIPROCAL_SWITCH, LAMBDA_MAX),
+                      [1.0 / direct.sol(RECIPROCAL_SWITCH)[0]],
+                      method="DOP853", rtol=ivp_rtol, atol=1e-16, dense_output=True)
+
+    def values(lam):
+        return np.where(lam <= RECIPROCAL_SWITCH,
+                        direct.sol(np.minimum(lam, RECIPROCAL_SWITCH))[0],
+                        1.0 / recip.sol(np.maximum(lam, RECIPROCAL_SWITCH))[0])
+    return values, len(direct.t) + len(recip.t) - 2
+
+
+class TestDop853Stepper:
+    @pytest.mark.parametrize("axis", [XI, ETA])
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 24])
+    def test_matches_scipy_dop853(self, axis, n):
+        mode = ModeIndex(axis, n)
+        reference, ref_steps = _solve_ivp_riccati(mode)
+        sol = riccati_solution(mode)
+        grid = np.linspace(1e-3, LAMBDA_MAX, 2000)
+        ref = reference(grid)
+        err = np.abs(sol.values(grid) - ref) / np.maximum(1.0, np.abs(ref))
+        assert np.max(err) < 2e-10
+        assert abs(len(sol._rows) - ref_steps) <= 0.02 * ref_steps
+
+    @pytest.mark.parametrize("axis", [XI, ETA])
+    def test_array_evaluation_equals_pointwise_bitwise(self, axis):
+        sol = riccati_solution(ModeIndex(axis, 6))
+        edges = [2e-4, 5e-4, sol.lam0, np.nextafter(sol.lam0, 1.0), RECIPROCAL_SWITCH,
+                 np.nextafter(RECIPROCAL_SWITCH, 0.0), np.nextafter(RECIPROCAL_SWITCH, 2.0),
+                 sol.lam_max]
+        points = np.concatenate([edges, np.linspace(1e-4, sol.lam_max, 302),
+                                 sol._rows[:40, 0]])
+        vals = sol.values(points)
+        assert all(vals[i] == sol.value(x) for i, x in enumerate(points))
+        assert np.array_equal(sol.values(points.reshape(-1, 7)), vals.reshape(-1, 7))
+        assert sol.values(np.float64(0.7)).shape == ()
+
+    @pytest.mark.parametrize("axis", [XI, ETA])
+    def test_error_against_tight_reference(self, axis):
+        grid = np.linspace(1e-3, LAMBDA_MAX, 1500)
+        for n in range(2, 25):
+            mode = ModeIndex(axis, n)
+            ref = riccati_solution(mode, rtol=2.5e-12).values(grid)
+            err = np.abs(riccati_solution(mode).values(grid) - ref)
+            assert np.max(err / np.maximum(1.0, np.abs(ref))) < 5e-10, f"{mode}"
+
+    def test_non_finite_launch_carries_details(self):
+        with pytest.raises(NumericalError, match="non-finite") as info:
+            riccati_solution(ModeIndex(XI, 2), _initial_shift=float("nan"))
+        assert info.value.details == {"mode": ["xi", 2], "segment": "direct",
+                                      "lam": 1e-3, "step": None, "rtol": 4e-12}
+
+    def test_blow_up_stops_below_the_minimum_step(self):
+        # a launch value far below the curve sends k_n to -infinity just
+        # past lam0; the steps shrink to 10 ulp and the run stops there
+        with pytest.raises(NumericalError, match="minimum") as info:
+            riccati_solution(ModeIndex(ETA, 3), rtol=1e-8, _initial_shift=-1e3)
+        details = info.value.details
+        assert details["mode"] == ["eta", 3] and details["segment"] == "direct"
+        assert 1e-3 < details["lam"] < 3e-3 and details["rtol"] == 4e-10
+        assert 0.0 < details["step"] < 1e-15
+
+    def test_exact_blow_up_is_located_in_the_details(self):
+        # y' = y^2 from y(1.2) = 10 is 1/(1.3 - lam)
+        with pytest.raises(NumericalError) as info:
+            _dop853_table(lambda t, y: y * y, RECIPROCAL_SWITCH, 10.0, LAMBDA_MAX,
+                          1e-10, 1e-16, {"segment": "reciprocal"})
+        assert info.value.details["segment"] == "reciprocal"
+        assert abs(info.value.details["lam"] - (RECIPROCAL_SWITCH + 0.1)) < 1e-6

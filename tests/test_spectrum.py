@@ -3,7 +3,7 @@ import pytest
 
 from serrin.errors import DomainValidationError
 from serrin.geometry import Axis, ModeIndex
-from serrin.modes import chebyshev_grid
+from serrin.modes import RiccatiSolution, chebyshev_grid, riccati_solution
 from serrin.spectrum import (asymptotics_report, eigen_curve, find_lambda_n,
                              sigma, sigma_ode, sigma_prime_closed_form,
                              sigma_values)
@@ -200,3 +200,19 @@ def test_eigen_curve_payload():
     # crossing happens exactly once, inside the proved interval
     signs = np.sign(curve.sigma)
     assert np.count_nonzero(np.diff(signs) != 0) == 1
+
+
+def test_eigen_curve_evaluates_the_riccati_curve_once(monkeypatch):
+    calls = []
+    original = RiccatiSolution.values
+
+    def counted(self, lam):
+        calls.append(self.mode)
+        return original(self, lam)
+
+    mode, grid = ModeIndex(XI, 5), chebyshev_grid(50)
+    monkeypatch.setattr(RiccatiSolution, "values", counted)
+    curve = eigen_curve(mode, grid)
+    assert calls == [mode]
+    assert np.array_equal(curve.riccati, riccati_solution(mode).values(grid))
+    assert np.array_equal(curve.sigma, sigma_values(mode, grid))
