@@ -12,9 +12,16 @@ solve the projected equations
 
     P_m [ H(phi_s) ] = 0   for 1 <= m <= truncation,
 
-by Newton iteration; every step solves with the exact tangent-linear
-Jacobian of the discrete flux map (:func:`serrin.torsion.flux_tangents`),
-taken once per point at its predictor.  The mean flux is left
+by Newton iteration.  Near lambda_j the linearized flux map is the
+mode-diagonal L_lambda plus O(s) (Crandall and Rabinowitz, J. Funct. Anal.
+8, 1971), so each point starts with chord steps on the leading-order
+Lyapunov-Schmidt Jacobian, built from the certificate's discrete
+eigenvalues without a PDE solve (the chord method: Kelley, *Iterative
+Methods for Linear and Nonlinear Equations*, SIAM 1995, section 5.4).  A
+chord step that does not contract the residual by ``CHORD_CONTRACTION`` is
+discarded, and the point goes on with the exact tangent-linear Jacobian of
+the discrete flux map (:func:`serrin.torsion.flux_tangents`), built once at
+the current iterate.  The mean flux is left
 free (a constant flux offset is absorbed by lambda, so the mean-mode
 equation and unknown are both dropped).  Before tracing, the bifurcation
 hypotheses are certified numerically: trivial branch, one-dimensional
@@ -38,6 +45,10 @@ __all__ = ["CRCertificate", "BranchPoint", "BranchRun", "BranchReport",
            "check_cr_hypotheses", "trace_branch", "branch_report"]
 
 SPHERE_VOLUME = 2.0 * np.pi ** 2
+# a chord step must cut the max-norm residual to this fraction of its
+# previous value, else the point builds the exact tangent Jacobian; with
+# 0.3 slow chord steps used up max_newton on the eta branch at s = 0.15
+CHORD_CONTRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -153,7 +164,8 @@ class BranchPoint:
     w: CosineSeries              # kernel-orthogonal correction, amplitude-normalized
     profile: BoundaryProfile
     defect: float
-    newton_iters: int
+    newton_iters: int            # accepted Newton steps, chord or tangent
+    tangent_jacobians: int       # exact tangent Jacobians built: 0 or 1
     neumann: np.ndarray
     volume: float
     area: float
@@ -216,17 +228,24 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
 
     Amplitudes are the uniform grid k * s_max/n_steps.  Each point is
     solved by Newton iteration on the projected flux equations from the
-    secant predictor.  The Jacobian is the exact tangent of the discrete
-    flux map at the predictor, all of its columns solved with the
-    matrix-free operator the residual there already built, and is kept
-    frozen within the point.  The s = 0 point reuses the certificate's
-    lambda_j field when the resolutions agree.  A point whose iteration
-    diverges, or whose line search cannot lower the residual in five
-    halvings, is retried from the half-amplitude; a second failure raises
-    :class:`NumericalError` with the run so far as ``partial_run`` and the
-    mode, failing amplitude, last good amplitude, resolution and
-    truncation as ``details``.  Profiles leaving the admissible band
-    terminate the run with a reason.
+    secant predictor (:func:`_newton_solve`).  Its first steps are chord
+    steps on the leading-order Jacobian J0(s), which holds the discrete
+    eigenvalues sigma_m(lambda_j) of the free modes and s times the
+    certificate's transversality slope.  The eigenvalues are the
+    certificate's when it was computed on the run's grid to at least the
+    run's truncation, else they are computed on the run's grid.  A chord
+    step that does not cut the residual by ``CHORD_CONTRACTION`` is
+    discarded; the point then builds the exact tangent of the discrete flux
+    map at its current iterate, all of its columns solved with the
+    matrix-free operator the residual there already built, and keeps it
+    frozen.  The s = 0 point reuses the certificate's lambda_j field when
+    the resolutions agree.  A point whose iteration diverges, or whose line
+    search cannot lower the residual in five halvings, is retried from the
+    half-amplitude; a second failure raises :class:`NumericalError` with
+    the run so far as ``partial_run`` and the mode, failing amplitude, last
+    good amplitude, resolution and truncation as ``details``, plus the
+    failed Newton solve's own ``details`` under ``newton``.  Profiles
+    leaving the admissible band terminate the run with a reason.
     """
     mode = ModeIndex.coerce(mode)
     if certificate is None:
@@ -238,15 +257,20 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
                 "truncation": int(truncation), "newton_tol": float(newton_tol),
                 "max_newton": int(max_newton)}
 
-    fld0 = certificate.lambda_field
-    if fld0 is None or certificate.details["resolution"] != settings["resolution"]:
-        fld0 = torsion_field(StraightTubeOperator(mode.axis, lam_j, *settings["resolution"]))
+    grid = settings["resolution"]
+    fld0, sigmas = certificate.lambda_field, np.asarray(certificate.details["sigmas"])
+    if fld0 is None or certificate.details["resolution"] != grid:
+        op_j = StraightTubeOperator(mode.axis, lam_j, *grid)
+        fld0, sigmas = torsion_field(op_j), _discrete_sigmas(mode, lam_j, truncation, op_j)
+    elif sigmas.size <= truncation:
+        sigmas = _discrete_sigmas(mode, lam_j, truncation,
+                                  StraightTubeOperator(mode.axis, lam_j, *grid))
     points = [_make_point(mode, 0.0, np.concatenate([[lam_j], np.zeros(n_free)]),
-                          truncation, fld0, 0)]
+                          truncation, fld0, 0, 0)]
 
     def newton(x0, amplitude):
         return _newton_solve(mode, x0, amplitude, truncation, resolution, newton_tol,
-                             max_newton)
+                             max_newton, sigmas, certificate.transversality_slope)
 
     x = np.concatenate([[lam_j], np.zeros(n_free)])
     x_prev = None
@@ -256,10 +280,10 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
         pred = x if x_prev is None else 2.0 * x - x_prev
         try:
             try:
-                x_new, fld, iters = newton(pred, s)
+                x_new, fld, iters, tangents = newton(pred, s)
             except NumericalError:
-                x_half, _, _ = newton(x, s - 0.5 * s_max / n_steps)
-                x_new, fld, iters = newton(x_half, s)
+                x_half = newton(x, s - 0.5 * s_max / n_steps)[0]
+                x_new, fld, iters, tangents = newton(x_half, s)
         except NumericalError as exc:
             err = NumericalError(
                 f"Newton failed at amplitude {s:.5f} even after step halving: {exc}")
@@ -269,51 +293,101 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
                            "last_good_s": points[-1].s,
                            "resolution": settings["resolution"],
                            "truncation": settings["truncation"]}
+            if getattr(exc, "details", None):
+                err.details["newton"] = exc.details
             raise err
         except DomainValidationError as exc:
             termination = f"profile left the admissible band at s={s:.5f}: {exc}"
             break
-        points.append(_make_point(mode, s, x_new, truncation, fld, iters))
+        points.append(_make_point(mode, s, x_new, truncation, fld, iters, tangents))
         x_prev, x = x, x_new
 
     return BranchRun(mode, points, settings, termination, certificate)
 
 
-def _newton_solve(mode, x0, s, truncation, resolution, tol, max_iter):
+def _chord_jacobian(mode, s, sigmas, slope, free_modes):
+    """Leading-order Lyapunov-Schmidt Jacobian J0(s) of the projected equations.
+
+    At the straight tube lambda_j the flux derivative along cos(m .) is
+    sigma_m cos(m .), so equation m sees only its own coefficient b_m,
+    and equation j, whose coefficient is pinned to s, sees lambda through
+    s * d sigma_j / d lambda.  No PDE solve is needed.
+    """
+    jac = np.zeros((len(free_modes) + 1,) * 2)
+    jac[mode.n - 1, 0] = s * slope
+    jac[np.subtract(free_modes, 1), np.arange(1, jac.shape[1])] = np.take(sigmas, free_modes)
+    return jac
+
+
+def _newton_solve(mode, x0, s, truncation, resolution, tol, max_iter, sigmas, slope):
+    """Solve one branch point: (state, field, iterations, tangent Jacobians built).
+
+    ``sigmas`` are the discrete eigenvalues sigma_m(lambda_j) for
+    m <= truncation and ``slope`` is d sigma_j / d lambda there; they give
+    the chord Jacobian (:func:`_chord_jacobian`).  A chord step is kept
+    when it cuts max|res| to at most ``CHORD_CONTRACTION`` times its
+    previous value.  Otherwise it is discarded, and the exact tangent
+    Jacobian is built once, at the current iterate and from the operator
+    and field its residual built, and stays frozen; each step on it takes
+    a line search of up to five halvings.  The iteration count counts the
+    accepted steps of either kind.  Every failure raises
+    :class:`NumericalError` whose ``details`` hold s, the iteration count,
+    the max-norm residual of each accepted iterate, the Jacobian in use
+    (``"chord"`` or ``"tangent"``) and, after an escalation, the
+    contraction ratio of the chord step that triggered it.
+    """
+    free_modes = [m for m in range(1, truncation + 1) if m != mode.n]
     x = x0.copy()
     res, fld, operator = _residual(mode, x, s, truncation, resolution)
-    jac = None
-    iters = 0
-    free_modes = [m for m in range(1, truncation + 1) if m != mode.n]
-    while np.max(np.abs(res)) > tol:
-        iters += 1
-        if iters > max_iter:
-            raise NumericalError(
-                f"no convergence in {max_iter} iterations at s={s:.5f} "
-                f"(residual {np.max(np.abs(res)):.3e})")
-        if jac is None:
-            jac = _jacobian(operator, fld, truncation, free_modes)
+    jac = _chord_jacobian(mode, s, sigmas, slope, free_modes)
+    kind, contraction, iters = "chord", None, 0
+    history = [float(np.max(np.abs(res)))]
+
+    def failure(message):
+        err = NumericalError(message)
+        err.details = {"s": s, "iterations": iters, "residuals": history, "jacobian": kind}
+        if contraction is not None:
+            err.details["contraction"] = contraction
+        return err
+
+    while history[-1] > tol:
+        if iters == max_iter:
+            raise failure(f"no convergence in {max_iter} iterations at s={s:.5f} "
+                          f"(residual {history[-1]:.3e})")
         try:
             delta = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular branch Jacobian at s={s:.5f}: {exc}")
-        step = 1.0
-        for _ in range(5):
-            res_new, fld_new, _ = _residual(mode, x + step * delta, s,
-                                            truncation, resolution)
-            if np.max(np.abs(res_new)) < np.max(np.abs(res)):
-                break
-            step *= 0.5
+            raise failure(f"singular branch Jacobian at s={s:.5f}: {exc}")
+        if kind == "chord":
+            trial = _residual(mode, x + delta, s, truncation, resolution)
+            ratio = float(np.max(np.abs(trial[0]))) / history[-1]
+            if not ratio <= CHORD_CONTRACTION:
+                # discard the trial (a NaN residual too) and retake this
+                # step on the tangent Jacobian
+                kind, contraction = "tangent", ratio
+                jac = _jacobian(operator, fld, truncation, free_modes)
+                continue
+            x = x + delta
+            res, fld, operator = trial
         else:
-            raise NumericalError(
-                f"line search at s={s:.5f}: five step halvings did not lower "
-                f"the residual {np.max(np.abs(res)):.3e}")
-        x = x + step * delta
-        res, fld = res_new, fld_new
-    return x, fld, iters
+            step = 1.0
+            for _ in range(5):
+                res_new, fld_new, _ = _residual(mode, x + step * delta, s,
+                                                truncation, resolution)
+                if np.max(np.abs(res_new)) < history[-1]:
+                    break
+                step *= 0.5
+            else:
+                raise failure(f"line search at s={s:.5f}: five step halvings did not "
+                              f"lower the residual {history[-1]:.3e}")
+            x = x + step * delta
+            res, fld = res_new, fld_new
+        iters += 1
+        history.append(float(np.max(np.abs(res))))
+    return x, fld, iters, int(kind == "tangent")
 
 
-def _make_point(mode, s, x, truncation, fld, iters):
+def _make_point(mode, s, x, truncation, fld, iters, tangents):
     prof = fld.profile
     if s != 0.0:
         w_coeffs = prof.coeffs.copy()
@@ -323,7 +397,7 @@ def _make_point(mode, s, x, truncation, fld, iters):
     else:
         w = CosineSeries([0.0])
     return BranchPoint(mode, float(s), float(x[0]), w, prof,
-                       serrin_defect(fld), int(iters), fld.neumann.copy(),
+                       serrin_defect(fld), int(iters), int(tangents), fld.neumann.copy(),
                        volume(prof), boundary_area(prof), mean_flux(fld))
 
 
@@ -361,6 +435,7 @@ def branch_report(run):
             "mean_flux": p.mean_flux,
             "divergence_gap": p.divergence_gap,
             "newton_iters": p.newton_iters,
+            "tangent_jacobians": p.tangent_jacobians,
             "kernel_coefficient": p.profile.coeffs[p.mode.n]
                 if p.mode.n < p.profile.coeffs.size else 0.0,
             "leading_modes": [(m, a) for a, m in lead if a > 0.0],

@@ -282,13 +282,13 @@ def cmd_branch(ns):
         lead = r["leading_modes"] + [(0, 0.0)] * (3 - len(r["leading_modes"]))
         rows.append((r["s"], r["lambda"], r["defect"], r["volume"], r["area"],
                      r["volume_fraction"], r["mean_flux"], r["divergence_gap"],
-                     r["newton_iters"],
+                     r["newton_iters"], r["tangent_jacobians"],
                      lead[0][0], lead[0][1], lead[1][0], lead[1][1],
                      lead[2][0], lead[2][1]))
     stem = os.path.join(out, f"branch_{axis.value}_j{opts.mode}")
     io.write_csv(stem + ".csv",
                  ("s", "lambda", "defect", "volume", "area", "volume_fraction",
-                  "mean_flux", "divergence_gap", "newton_iters",
+                  "mean_flux", "divergence_gap", "newton_iters", "tangent_jacobians",
                   "lead1_mode", "lead1_amp", "lead2_mode", "lead2_amp",
                   "lead3_mode", "lead3_amp"), rows)
     cert = run.certificate

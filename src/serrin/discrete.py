@@ -50,6 +50,8 @@ Which operator serves which caller:
   reference and the tests that compare the other two with it.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
@@ -230,12 +232,22 @@ def _as_grid(values, shape):
 class _GridOperator:
     """The node-by-node operator shared by the tube operators.
 
-    Subclasses set ``n_t``, ``m_angles``, ``_stencils``, the angle matrices
-    ``_d1a`` and ``_d2a`` and the coefficients ``_coeffs`` = (g^tt, g^ta,
-    g^aa, c_t), each broadcastable to (n_t, M).  ``scaled_residual`` also
-    needs ``row_norm``, the largest absolute row sum of the assembled
-    matrix; :class:`TubeOperator` has the matrix and overrides it.
+    Subclasses set ``profile``, ``n_t``, ``m_angles``, ``_stencils``, the
+    angle matrices ``_d1a`` and ``_d2a`` and the coefficients ``_coeffs`` =
+    (g^tt, g^ta, g^aa, c_t), each broadcastable to (n_t, M).
     """
+
+    @cached_property
+    def row_norm(self):
+        """Largest absolute row sum of the assembled matrix, on first use.
+
+        Only ``scaled_residual`` reads it, so an operator that serves as a
+        preconditioner never pays for it.  :class:`TubeOperator` has the
+        matrix and overrides it.
+        """
+        return _row_norm(self._stencils, self._d1a, self._d2a,
+                         _default_axis_shift(self.profile.axis, self.m_angles),
+                         *self._coeffs)
 
     def derivatives(self, u, boundary_values):
         """Discrete (u_t, u_tt, u_aa, u_ta) of a field, each (n_t, M).
@@ -294,7 +306,6 @@ class TubeOperator(_GridOperator):
         self.axis_shift = int(axis_shift) % self.m_angles
         self._assemble()
         self._lu = None
-        self._row_norm = None
 
     # -- assembly -------------------------------------------------------
     def _assemble(self):
@@ -381,9 +392,12 @@ class TubeOperator(_GridOperator):
         rhs = _as_grid(rhs, (self.n_t, self.m_angles))
         bc = _as_grid(boundary_values, (self.m_angles,))
         r = self.matrix @ u.ravel() + self.boundary_matrix @ bc - rhs.ravel()
-        if self._row_norm is None:
-            self._row_norm = np.abs(self.matrix).sum(axis=1).max()
-        return _scaled(r, self._row_norm, u, rhs)
+        return _scaled(r, self.row_norm, u, rhs)
+
+    @cached_property
+    def row_norm(self):
+        """Largest absolute row sum of the assembled matrix, on first use."""
+        return np.abs(self.matrix).sum(axis=1).max()
 
     def solve_interior(self, rhs):
         """Solve A U = rhs column by column with zero Dirichlet data.
@@ -425,7 +439,6 @@ class StraightTubeOperator(_GridOperator):
         # the coefficients do not depend on the angle, so one angle column
         # stands for every row of the 2-D matrix
         self._coeffs = (gtt[:, None], 0.0, gaa[:, None], ct[:, None])
-        self.row_norm = _row_norm(st, self._d1a, self._d2a, shift, *self._coeffs)
 
         coef = gtt[:, None] * st.w2 + ct[:, None] * st.w1
         nodes = st.nodes
@@ -505,9 +518,6 @@ class MatrixFreeTubeOperator(_GridOperator):
         gtt, gta, gaa, _, ct = laplacian_coefficients(profile, self.t, self.angles)
         self._coeffs = tuple(np.broadcast_to(f, (self.n_t, self.m_angles))
                              for f in (gtt, gta, gaa, ct))
-        self.row_norm = _row_norm(self._stencils, self._d1a, self._d2a,
-                                  _default_axis_shift(profile.axis, self.m_angles),
-                                  *self._coeffs)
         self.iterations = 0
 
     def solve(self, rhs, boundary_values):

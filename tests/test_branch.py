@@ -167,8 +167,8 @@ class TestBranch:
         assert np.array_equal(run.points[0].neumann, cert_xi2.lambda_field.neumann)
 
     def test_continuation_runs_no_riccati_integration(self, cert_xi2):
-        # every Newton step solves with the tangent Jacobian; no step needs
-        # the ODE eigenvalues of the modes other than j
+        # the chord Jacobian holds the certificate's discrete eigenvalues;
+        # no step needs the ODE eigenvalues of the modes other than j
         modes.riccati_solution.cache_clear()
         trace_branch(ModeIndex(XI, 2), s_max=0.005, n_steps=1,
                      resolution=(48, 32), truncation=12, certificate=cert_xi2)
@@ -195,6 +195,72 @@ class TestTangentJacobian:
         assert np.max(np.abs(jac - oracle)) < 1e-5 * np.max(np.abs(jac))
 
 
+class TestChordNewton:
+    @pytest.mark.parametrize("axis", [XI, ETA])
+    def test_matches_the_tangent_route(self, axis, monkeypatch):
+        # the criterion-8 path: chord steps converge to the points the
+        # tangent Jacobian from the first step converges to
+        mode = ModeIndex(axis, 2)
+        cert = check_cr_hypotheses(mode, truncation=16, resolution=(64, 64))
+        kwargs = dict(s_max=0.02, n_steps=10, resolution=(64, 64), truncation=16,
+                      certificate=cert)
+        chord = trace_branch(mode, **kwargs)
+        monkeypatch.setattr(branch, "CHORD_CONTRACTION", 0.0)
+        tangent = trace_branch(mode, **kwargs)
+        assert chord.termination == tangent.termination == "completed"
+        assert [p.tangent_jacobians for p in chord.points[1:]] == [0] * 10
+        assert [p.tangent_jacobians for p in tangent.points[1:]] == [1] * 10
+        for a, b in zip(chord.points, tangent.points):
+            assert a.s == b.s
+            assert abs(a.lam - b.lam) < 1e-9
+            assert np.max(np.abs(a.profile.coeffs - b.profile.coeffs)) < 1e-9
+
+    # the certificate's own grid and truncation, a deeper truncation and
+    # another grid: the last two compute the eigenvalues on the run's grid
+    @pytest.mark.parametrize("resolution, truncation",
+                             [((48, 32), 12), ((48, 32), 14), ((40, 32), 8)])
+    def test_small_amplitude_point_builds_no_tangent_jacobian(
+            self, cert_xi2, monkeypatch, resolution, truncation):
+        tangents = _record_calls(monkeypatch, branch, "flux_tangents")
+        run = trace_branch(ModeIndex(XI, 2), s_max=0.005, n_steps=1,
+                           resolution=resolution, truncation=truncation,
+                           certificate=cert_xi2)
+        assert run.points[-1].defect < 1e-6
+        assert tangents == [] and run.points[-1].tangent_jacobians == 0
+
+    def test_chord_step_that_never_contracts_builds_one_tangent_jacobian(
+            self, cert_xi2, monkeypatch):
+        # a chord Jacobian a thousand times too large takes steps that
+        # leave the residual where it was
+        chord = branch._chord_jacobian
+        monkeypatch.setattr(branch, "_chord_jacobian",
+                            lambda *args: 1e3 * chord(*args))
+        tangents = _record_calls(monkeypatch, branch, "flux_tangents")
+        run = trace_branch(ModeIndex(XI, 2), s_max=0.005, n_steps=1,
+                           resolution=(48, 32), truncation=12, certificate=cert_xi2)
+        assert run.points[-1].defect < 1e-6
+        assert len(tangents) == 1 and run.points[-1].tangent_jacobians == 1
+
+    def test_chord_jacobian_is_mode_diagonal(self, cert_xi2):
+        sigmas = cert_xi2.details["sigmas"]
+        jac = branch._chord_jacobian(ModeIndex(XI, 2), 0.01, sigmas, 2.0, [1, 3, 4])
+        assert np.array_equal(jac, [[0.0, sigmas[1], 0.0, 0.0],
+                                    [0.02, 0.0, 0.0, 0.0],
+                                    [0.0, 0.0, sigmas[3], 0.0],
+                                    [0.0, 0.0, 0.0, sigmas[4]]])
+
+    @pytest.mark.parametrize("axis, reach", [(XI, 0.35), (ETA, 0.25)])
+    def test_reach_is_kept(self, axis, reach):
+        # 48x32, truncation 12, twelve steps to s = 0.6: xi stalls past
+        # 0.35, eta leaves the admissible band past 0.25
+        try:
+            run = trace_branch(ModeIndex(axis, 2), s_max=0.6, n_steps=12,
+                               resolution=(48, 32), truncation=12)
+        except NumericalError as exc:
+            run = exc.partial_run
+        assert run.points[-1].s >= reach - 1e-12
+
+
 class TestFailurePaths:
     def test_line_search_that_never_descends_fails(self, cert_xi2, monkeypatch):
         real = branch._residual
@@ -209,10 +275,28 @@ class TestFailurePaths:
 
         monkeypatch.setattr(branch, "_residual", residual)
         x0 = np.concatenate([[cert_xi2.lambda_j], np.zeros(7)])
-        with pytest.raises(NumericalError, match="five step halvings"):
+        with pytest.raises(NumericalError, match="five step halvings") as info:
             branch._newton_solve(ModeIndex(XI, 2), x0, 0.005, 8, (48, 32),
-                                 1e-10, 12)
-        assert len(calls) == 6
+                                 1e-10, 12, cert_xi2.details["sigmas"],
+                                 cert_xi2.transversality_slope)
+        # the start, one discarded chord trial and five halvings
+        assert len(calls) == 7
+        details = info.value.details
+        assert details["s"] == 0.005 and details["iterations"] == 0
+        assert details["jacobian"] == "tangent" and details["contraction"] > 1.0
+        assert len(details["residuals"]) == 1
+
+    def test_no_convergence_carries_the_residual_history(self, cert_xi2):
+        x0 = np.concatenate([[cert_xi2.lambda_j], np.zeros(7)])
+        with pytest.raises(NumericalError, match="no convergence in 1 iterations") as info:
+            branch._newton_solve(ModeIndex(XI, 2), x0, 0.005, 8, (48, 32),
+                                 1e-10, 1, cert_xi2.details["sigmas"],
+                                 cert_xi2.transversality_slope)
+        details = info.value.details
+        assert details["iterations"] == 1 and details["jacobian"] == "chord"
+        assert "contraction" not in details
+        first, second = details["residuals"]
+        assert second <= branch.CHORD_CONTRACTION * first
 
     def test_band_exit_during_retry_ends_the_run(self, cert_xi2, monkeypatch):
         attempts = []

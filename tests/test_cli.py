@@ -175,6 +175,9 @@ class TestBranch:
         assert run(args + ["--out", str(b)]) == 0
         for name in ("branch_xi_j2.csv", "branch_xi_j2.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+        header = (a / "branch_xi_j2.csv").read_text().splitlines()[0].split(",")
+        assert header[8:10] == ["newton_iters", "tangent_jacobians"]
+        assert len(header) == 16
 
     def test_failed_certificate_prints_its_details(self, tmp_path, capsys):
         # at this coarse grid the discrete sigma_3 misses the kernel tolerance
