@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrete import MatrixFreeTubeOperator, StraightTubeOperator
+from .discrete import MatrixFreeTubeOperator, StraightTubeOperator, TubeGrid
 from .errors import AnalysisError, DomainValidationError, NumericalError
 from .fourier import CosineSeries, cosine_coefficients
 from .geometry import BoundaryProfile, ModeIndex, boundary_area, volume
@@ -66,8 +66,10 @@ class CRCertificate:
     passed: bool
     details: dict = field(default_factory=dict)
     # torsion field of the straight tube lambda_j at details["resolution"],
-    # the s = 0 point of a branch traced at that resolution
+    # the s = 0 point of a branch traced at that resolution, and the grid
+    # its operators were built on, which such a branch builds on too
     lambda_field: TorsionField = field(default=None, repr=False, compare=False)
+    grid: TubeGrid = field(default=None, repr=False, compare=False)
 
 
 def _discrete_sigmas(mode, lam, truncation, operator):
@@ -92,7 +94,8 @@ def check_cr_hypotheses(mode, truncation=16, resolution=(64, 64),
     :class:`DomainValidationError` before any solve.
     Every straight-tube solve, the torsion fields of (i) and the discrete
     eigenvalues alike, goes through the mode-diagonal
-    :class:`~serrin.discrete.StraightTubeOperator`.  Any failure raises
+    :class:`~serrin.discrete.StraightTubeOperator`, all on one
+    :class:`~serrin.discrete.TubeGrid`.  Any failure raises
     :class:`AnalysisError` naming the item; its ``details`` hold lambda_j,
     the resolution, the truncation, the trivial defect and the ``sigmas``
     computed so far.
@@ -112,8 +115,10 @@ def check_cr_hypotheses(mode, truncation=16, resolution=(64, 64),
         err.details = details
         return err
 
+    grid = TubeGrid(mode.axis, n_t, m_angles)
+
     def straight(lam):
-        return StraightTubeOperator(mode.axis, lam, n_t, m_angles)
+        return StraightTubeOperator(mode.axis, lam, n_t, m_angles, grid=grid)
 
     trivial = 0.0
     for factor in (0.95, 1.05):
@@ -151,7 +156,7 @@ def check_cr_hypotheses(mode, truncation=16, resolution=(64, 64),
                          details={"sigmas": details["sigmas"],
                                   "resolution": details["resolution"],
                                   "truncation": truncation},
-                         lambda_field=fld_j)
+                         lambda_field=fld_j, grid=grid)
 
 
 @dataclass
@@ -206,10 +211,10 @@ def _profile_from_state(mode, x, s, truncation):
     return BoundaryProfile(mode.axis, coeffs)
 
 
-def _residual(mode, x, s, truncation, resolution):
+def _residual(mode, x, s, truncation, grid):
     """Projected flux equations at state x, their field and matrix-free operator."""
     profile = _profile_from_state(mode, x, s, truncation)
-    operator = MatrixFreeTubeOperator(profile, *parse_resolution(resolution))
+    operator = MatrixFreeTubeOperator(profile, *grid.resolution, grid=grid)
     fld = torsion_field(operator)
     coeffs, _ = cosine_coefficients(fld.neumann)
     return coeffs[1:truncation + 1].copy(), fld, operator
@@ -239,7 +244,9 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
     map at its current iterate, all of its columns solved with the
     matrix-free operator the residual there already built, and keeps it
     frozen.  The s = 0 point reuses the certificate's lambda_j field when
-    the resolutions agree.  A point whose iteration diverges, or whose line
+    the resolutions agree.  Every operator of the run is built on one
+    :class:`~serrin.discrete.TubeGrid`, the certificate's when the
+    resolutions agree.  A point whose iteration diverges, or whose line
     search cannot lower the residual in five halvings, is retried from the
     half-amplitude; a second failure raises :class:`NumericalError` with
     the run so far as ``partial_run`` and the mode, failing amplitude, last
@@ -257,19 +264,22 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
                 "truncation": int(truncation), "newton_tol": float(newton_tol),
                 "max_newton": int(max_newton)}
 
-    grid = settings["resolution"]
+    resolution = settings["resolution"]
+    grid = certificate.grid
+    if grid is None or (grid.axis, grid.resolution) != (mode.axis, resolution):
+        grid = TubeGrid(mode.axis, *resolution)
     fld0, sigmas = certificate.lambda_field, np.asarray(certificate.details["sigmas"])
-    if fld0 is None or certificate.details["resolution"] != grid:
-        op_j = StraightTubeOperator(mode.axis, lam_j, *grid)
+    if fld0 is None or certificate.details["resolution"] != resolution:
+        op_j = StraightTubeOperator(mode.axis, lam_j, *resolution, grid=grid)
         fld0, sigmas = torsion_field(op_j), _discrete_sigmas(mode, lam_j, truncation, op_j)
     elif sigmas.size <= truncation:
-        sigmas = _discrete_sigmas(mode, lam_j, truncation,
-                                  StraightTubeOperator(mode.axis, lam_j, *grid))
+        sigmas = _discrete_sigmas(mode, lam_j, truncation, StraightTubeOperator(
+            mode.axis, lam_j, *resolution, grid=grid))
     points = [_make_point(mode, 0.0, np.concatenate([[lam_j], np.zeros(n_free)]),
                           truncation, fld0, 0, 0)]
 
     def newton(x0, amplitude):
-        return _newton_solve(mode, x0, amplitude, truncation, resolution, newton_tol,
+        return _newton_solve(mode, x0, amplitude, truncation, grid, newton_tol,
                              max_newton, sigmas, certificate.transversality_slope)
 
     x = np.concatenate([[lam_j], np.zeros(n_free)])
@@ -319,8 +329,11 @@ def _chord_jacobian(mode, s, sigmas, slope, free_modes):
     return jac
 
 
-def _newton_solve(mode, x0, s, truncation, resolution, tol, max_iter, sigmas, slope):
+def _newton_solve(mode, x0, s, truncation, grid, tol, max_iter, sigmas, slope):
     """Solve one branch point: (state, field, iterations, tangent Jacobians built).
+
+    Every residual's operator is built on the :class:`~serrin.discrete.TubeGrid`
+    ``grid``.
 
     ``sigmas`` are the discrete eigenvalues sigma_m(lambda_j) for
     m <= truncation and ``slope`` is d sigma_j / d lambda there; they give
@@ -338,7 +351,7 @@ def _newton_solve(mode, x0, s, truncation, resolution, tol, max_iter, sigmas, sl
     """
     free_modes = [m for m in range(1, truncation + 1) if m != mode.n]
     x = x0.copy()
-    res, fld, operator = _residual(mode, x, s, truncation, resolution)
+    res, fld, operator = _residual(mode, x, s, truncation, grid)
     jac = _chord_jacobian(mode, s, sigmas, slope, free_modes)
     kind, contraction, iters = "chord", None, 0
     history = [float(np.max(np.abs(res)))]
@@ -359,7 +372,7 @@ def _newton_solve(mode, x0, s, truncation, resolution, tol, max_iter, sigmas, sl
         except np.linalg.LinAlgError as exc:
             raise failure(f"singular branch Jacobian at s={s:.5f}: {exc}")
         if kind == "chord":
-            trial = _residual(mode, x + delta, s, truncation, resolution)
+            trial = _residual(mode, x + delta, s, truncation, grid)
             ratio = float(np.max(np.abs(trial[0]))) / history[-1]
             if not ratio <= CHORD_CONTRACTION:
                 # discard the trial (a NaN residual too) and retake this
@@ -372,8 +385,7 @@ def _newton_solve(mode, x0, s, truncation, resolution, tol, max_iter, sigmas, sl
         else:
             step = 1.0
             for _ in range(5):
-                res_new, fld_new, _ = _residual(mode, x + step * delta, s,
-                                                truncation, resolution)
+                res_new, fld_new, _ = _residual(mode, x + step * delta, s, truncation, grid)
                 if np.max(np.abs(res_new)) < history[-1]:
                     break
                 step *= 0.5

@@ -180,7 +180,7 @@ def cmd_roots(ns):
                 "sigma_prime_closed_form": slope,
                 "bracket": list(point.bracket),
                 "sign_changes": point.sign_changes,
-                "tolerances": {"root": opts.tol, "sweep_rtol": 1e-10},
+                "tolerances": {"brent_xtol": opts.tol, "sweep_rtol": 1e-10},
             })
             print(f"{axis.value} n={n}: lambda_n={point.lambda_n:.12f} "
                   f"sigma'={slope:+.6f}")

@@ -36,6 +36,18 @@ The oracle's sparse LU orders its columns by minimum degree on A^T + A
 (George and Liu, SIAM Review 31, 1989): each radial row carries a dense
 angular block, which SuperLU's default column ordering fills badly.
 
+Who owns the grid: a :class:`TubeGrid` holds everything that depends on
+the axis and the grid but not on the profile (the radial and angle nodes,
+the Fourier matrices, the :class:`RadialStencils` and, built on first use,
+the stencils' row-norm table).  Each operator reads its grid and never
+writes it.  An operator built without one builds its own; a caller that
+builds many operators on one grid builds the grid once and passes it as
+``grid=``.  ``branch.check_cr_hypotheses`` builds one grid for all its
+straight tubes and keeps it on the certificate, and ``branch.trace_branch``
+reuses it (or builds one when the resolutions differ) for every residual's
+matrix-free operator and its preconditioner.  The library keeps no cache
+of grids.
+
 Which operator serves which caller:
 
 - :class:`MatrixFreeTubeOperator` serves every perturbed tube, i.e.
@@ -62,8 +74,8 @@ from .fourier import angle_grid
 from .geometry import Axis, BoundaryProfile, laplacian_coefficient_values, laplacian_coefficients
 
 __all__ = ["fd_weights", "radial_grid", "fourier_diff_matrices",
-           "periodic_fd_matrices", "RadialStencils", "TubeOperator", "StraightTubeOperator",
-           "MatrixFreeTubeOperator"]
+           "periodic_fd_matrices", "RadialStencils", "TubeGrid", "TubeOperator",
+           "StraightTubeOperator", "MatrixFreeTubeOperator"]
 
 HALF_WIDTH = 3
 GRADING = 3.0
@@ -125,6 +137,12 @@ def fourier_diff_matrices(m_angles):
     Exact on trigonometric polynomials of frequency below m_angles/2, so a
     resolved Fourier mode keeps its exact eigenvalue -n^2 under D2.
     """
+    col1, col2 = _fourier_columns(m_angles)
+    return _circulant(col1), _circulant(col2)
+
+
+def _fourier_columns(m_angles):
+    """First columns of the Fourier D1 (odd in the offset) and D2 (even)."""
     if m_angles % 2:
         raise ConfigError("the angle grid needs an even number of nodes")
     m = m_angles
@@ -135,7 +153,7 @@ def fourier_diff_matrices(m_angles):
     col2 = np.empty(m)
     col2[0] = -m * m / 12.0 - 1.0 / 6.0
     col2[1:] = -0.5 * (-1.0) ** k / np.sin(half) ** 2
-    return _circulant(col1), _circulant(col2)
+    return col1, col2
 
 
 def periodic_fd_matrices(m_angles):
@@ -171,7 +189,8 @@ class RadialStencils:
     The extended radial nodes are the ``HALF_WIDTH`` reflections past the
     axis, the ``n_t`` interior nodes and the boundary node t = 1.  Interior
     row i reads the extended nodes ``lows[i] .. lows[i] + 2*HALF_WIDTH``
-    with first- and second-derivative weights ``w1[i]`` and ``w2[i]``.
+    (row i of ``nodes``) with first- and second-derivative weights
+    ``w1[i]`` and ``w2[i]``.
     ``rows`` is the radial row each extended node reads (the mirrored row
     for a reflected node, ``n_t`` for the boundary node), ``reflected``
     marks the reflected ones, and ``colmap`` maps (extended node, angle) to
@@ -179,14 +198,19 @@ class RadialStencils:
     the angle moved by ``axis_shift``, and the boundary node lands on the
     ``m_angles`` columns past the interior.  ``trace_interior`` and
     ``trace_boundary`` are the one-sided d/dt weights at t = 1.
+    ``row_norm_table`` is the grid's part of :func:`_row_norm` with the
+    Fourier angle coupling, built on first use, so an operator that never
+    needs a row norm never pays for it.
     """
 
     def __init__(self, t, m_angles, axis_shift):
         hw, n_t, m = HALF_WIDTH, t.size, m_angles
         width = 2 * hw + 1
+        self.m_angles, self.axis_shift = m, axis_shift
         ext = np.concatenate([-t[hw - 1::-1], t, [1.0]])
         n_ext = ext.size
         self.lows = np.minimum(np.arange(n_t), n_ext - width)
+        self.nodes = self.lows[:, None] + np.arange(width)
         w = fd_weights(t, ext[self.nodes], 2)
         self.w1, self.w2 = w[..., 1], w[..., 2]
 
@@ -207,11 +231,6 @@ class RadialStencils:
         self.trace_interior = tw[:-1]
         self.trace_boundary = tw[-1]
 
-    @property
-    def nodes(self):
-        """(n_t, 2*HALF_WIDTH + 1) extended-node indices of each row's stencil."""
-        return self.lows[:, None] + np.arange(2 * HALF_WIDTH + 1)
-
     def radial_derivatives(self, u, boundary_values):
         """(u_t, u_tt) of an (n_t, M) field with Dirichlet samples on t = 1."""
         values = np.concatenate([u.ravel(), boundary_values])[self.colmap]
@@ -223,6 +242,61 @@ class RadialStencils:
         q = self.trace_interior.size
         return self.trace_interior @ u[-q:, :] + self.trace_boundary * boundary_values
 
+    @cached_property
+    def row_norm_table(self):
+        return _RowNormTable(self)
+
+
+class TubeGrid:
+    """The part of a tube operator that does not depend on the profile.
+
+    For one axis and an ``n_t`` x ``m_angles`` grid: the radial nodes ``t``,
+    the angle nodes ``angles``, the angle matrices ``d1a`` and ``d2a`` of
+    ``angle_scheme`` and the :class:`RadialStencils` ``stencils`` with the
+    reflection shift ``axis_shift`` (the axis's default unless given).
+    Operators only read it, so one grid serves every operator built on it;
+    its arrays and those of its stencils are read-only.
+    """
+
+    def __init__(self, axis, n_t, m_angles, angle_scheme="fourier", axis_shift=None):
+        _check_grid(n_t, m_angles)
+        self.axis = Axis.coerce(axis)
+        self.n_t, self.m_angles = n_t, m = int(n_t), int(m_angles)
+        if angle_scheme == "fourier":
+            d1a, d2a = fourier_diff_matrices(m)
+        elif angle_scheme == "fd2":
+            d1a, d2a = periodic_fd_matrices(m)
+        else:
+            raise ConfigError(f"unknown angle scheme {angle_scheme!r}")
+        self.angle_scheme = angle_scheme
+        # the eta-circle collapses on the axis, so eta-profiles reflect with
+        # a half-period shift; axis_shift overrides for defect injection
+        if axis_shift is None:
+            axis_shift = _default_axis_shift(self.axis, m)
+        self.axis_shift = int(axis_shift) % m
+        self.t, self.angles = radial_grid(self.n_t), angle_grid(m)
+        self.d1a, self.d2a = d1a, d2a
+        self.stencils = RadialStencils(self.t, m, self.axis_shift)
+        for array in (self.t, self.angles, d1a, d2a, *vars(self.stencils).values()):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+
+    @property
+    def resolution(self):
+        return self.n_t, self.m_angles
+
+
+def _fourier_grid(axis, n_t, m_angles, grid):
+    """``grid`` if it is the default Fourier grid of these sizes, a new one for None."""
+    if grid is None:
+        return TubeGrid(axis, n_t, m_angles)
+    axis = Axis.coerce(axis)
+    want = (axis, int(n_t), int(m_angles), "fourier", _default_axis_shift(axis, int(m_angles)))
+    have = (grid.axis, grid.n_t, grid.m_angles, grid.angle_scheme, grid.axis_shift)
+    if have != want:
+        raise ConfigError(f"grid {have} does not match the operator's {want}")
+    return grid
+
 
 def _as_grid(values, shape):
     """Scalar or array data broadcast to a grid shape, as floats."""
@@ -232,10 +306,16 @@ def _as_grid(values, shape):
 class _GridOperator:
     """The node-by-node operator shared by the tube operators.
 
-    Subclasses set ``profile``, ``n_t``, ``m_angles``, ``_stencils``, the
-    angle matrices ``_d1a`` and ``_d2a`` and the coefficients ``_coeffs`` =
-    (g^tt, g^ta, g^aa, c_t), each broadcastable to (n_t, M).
+    Subclasses call :meth:`_use_grid` with their :class:`TubeGrid` and set
+    ``profile`` and the coefficients ``_coeffs`` = (g^tt, g^ta, g^aa, c_t),
+    each broadcastable to (n_t, M).
     """
+
+    def _use_grid(self, grid):
+        self.grid = grid
+        self.n_t, self.m_angles, self.t, self.angles = grid.n_t, grid.m_angles, grid.t, grid.angles
+        self.angle_scheme = grid.angle_scheme
+        self._stencils, self._d1a, self._d2a = grid.stencils, grid.d1a, grid.d2a
 
     @cached_property
     def row_norm(self):
@@ -245,9 +325,7 @@ class _GridOperator:
         preconditioner never pays for it.  :class:`TubeOperator` has the
         matrix and overrides it.
         """
-        return _row_norm(self._stencils, self._d1a, self._d2a,
-                         _default_axis_shift(self.profile.axis, self.m_angles),
-                         *self._coeffs)
+        return _row_norm(self._stencils, *self._coeffs)
 
     def derivatives(self, u, boundary_values):
         """Discrete (u_t, u_tt, u_aa, u_ta) of a field, each (n_t, M).
@@ -292,18 +370,8 @@ class TubeOperator(_GridOperator):
     """
 
     def __init__(self, profile, n_t, m_angles, angle_scheme="fourier", axis_shift=None):
-        _check_grid(n_t, m_angles)
         self.profile = profile
-        self.n_t = int(n_t)
-        self.m_angles = int(m_angles)
-        self.angle_scheme = angle_scheme
-        self.t = radial_grid(self.n_t)
-        self.angles = angle_grid(self.m_angles)
-        # the eta-circle collapses on the axis, so eta-profiles reflect with
-        # a half-period shift; axis_shift overrides for defect injection
-        if axis_shift is None:
-            axis_shift = _default_axis_shift(profile.axis, self.m_angles)
-        self.axis_shift = int(axis_shift) % self.m_angles
+        self._use_grid(TubeGrid(profile.axis, n_t, m_angles, angle_scheme, axis_shift))
         self._assemble()
         self._lu = None
 
@@ -311,19 +379,13 @@ class TubeOperator(_GridOperator):
     def _assemble(self):
         n_t, m = self.n_t, self.m_angles
         n = n_t * m
-        if self.angle_scheme == "fourier":
-            d1a, d2a = fourier_diff_matrices(m)
-        elif self.angle_scheme == "fd2":
-            d1a, d2a = periodic_fd_matrices(m)
-        else:
-            raise ConfigError(f"unknown angle scheme {self.angle_scheme!r}")
-
+        d1a, d2a = self._d1a, self._d2a
         gtt, gta, gaa, _, ct = laplacian_coefficients(self.profile, self.t, self.angles)
         gtt, gta, gaa, ct = self._coeffs = tuple(
             np.broadcast_to(f, (n_t, m)).copy() for f in (gtt, gta, gaa, ct))
         has_cross = bool(np.any(gta))
 
-        st = self._stencils = RadialStencils(self.t, m, self.axis_shift)
+        st = self._stencils
         w1, w2, lows, colmap = st.w1, st.w2, st.lows, st.colmap
         karr = np.arange(m, dtype=np.int32)
         # the entry count is known, so the COO arrays are filled in place:
@@ -355,8 +417,6 @@ class TubeOperator(_GridOperator):
 
         full = sparse.coo_matrix((data, (rows, cols)), shape=(n, n + m)).tocsc()
         del data, rows, cols        # before the boundary split below copies
-        # kept for derivatives(), which applies the same stencils to a field
-        self._d1a, self._d2a = d1a, d2a
         # views of the first n columns, which a full[:, :n] slice would copy
         nnz = full.indptr[n]
         self.matrix = sparse.csc_matrix(
@@ -412,7 +472,8 @@ class StraightTubeOperator(_GridOperator):
     """Tube Laplacian of the straight tube of radius ``lam``, mode by mode.
 
     Its ``solve`` takes the arguments of :meth:`TubeOperator.solve`; it
-    has the Fourier angle scheme and the default axis shift.  The
+    has the Fourier angle scheme and the default axis shift, and is built on
+    ``grid``, a :class:`TubeGrid` of these sizes, or on a new one.  The
     coefficients depend on t only, so the operator is diagonal in the angle
     modes k = 0..M/2: each is one banded n_t x n_t radial system, built from
     the same stencils.  The M/2 + 1 systems form one block-diagonal band of
@@ -422,20 +483,12 @@ class StraightTubeOperator(_GridOperator):
     not per mode.
     """
 
-    angle_scheme = "fourier"
-
-    def __init__(self, axis, lam, n_t, m_angles):
-        _check_grid(n_t, m_angles)
+    def __init__(self, axis, lam, n_t, m_angles, grid=None):
         self.profile = BoundaryProfile.constant(axis, lam)
-        self.n_t = n_t = int(n_t)
-        self.m_angles = m = int(m_angles)
-        self.t = radial_grid(n_t)
-        self.angles = angle_grid(m)
-        shift = _default_axis_shift(self.profile.axis, m)
-        st = self._stencils = RadialStencils(self.t, m, shift)
+        self._use_grid(_fourier_grid(axis, n_t, m_angles, grid))
+        n_t, m, st, shift = self.n_t, self.m_angles, self._stencils, self.grid.axis_shift
         gtt, _, gaa, _, ct = laplacian_coefficient_values(
             self.profile.axis, self.t, float(lam), 0.0, 0.0)
-        self._d1a, self._d2a = fourier_diff_matrices(m)
         # the coefficients do not depend on the angle, so one angle column
         # stands for every row of the 2-D matrix
         self._coeffs = (gtt[:, None], 0.0, gaa[:, None], ct[:, None])
@@ -497,7 +550,8 @@ class MatrixFreeTubeOperator(_GridOperator):
 
     Its ``solve`` and ``solve_interior`` take the arguments of the
     :class:`TubeOperator` methods; it has the Fourier angle scheme and the
-    default axis shift.  The inherited ``apply`` forms g^tt u_tt +
+    default axis shift, and it and its preconditioner are built on ``grid``
+    as a :class:`StraightTubeOperator` is.  The inherited ``apply`` forms g^tt u_tt +
     2 g^ta u_ta + g^aa u_aa + c_t u_t node by node from the assembly's
     stencils, so it equals ``matrix @ u + boundary_matrix @ boundary_values``
     of the assembled operator.  Solves run GMRES (Saad and Schultz, SIAM J.
@@ -507,14 +561,11 @@ class MatrixFreeTubeOperator(_GridOperator):
     (the most over its columns for ``solve_interior``).
     """
 
-    angle_scheme = "fourier"
-
-    def __init__(self, profile, n_t, m_angles):
+    def __init__(self, profile, n_t, m_angles, grid=None):
         pre = self._preconditioner = StraightTubeOperator(
-            profile.axis, profile.coeffs[0], n_t, m_angles)
+            profile.axis, profile.coeffs[0], n_t, m_angles, grid=grid)
         self.profile = profile
-        self.n_t, self.m_angles, self.t, self.angles = pre.n_t, pre.m_angles, pre.t, pre.angles
-        self._stencils, self._d1a, self._d2a = pre._stencils, pre._d1a, pre._d2a
+        self._use_grid(pre.grid)
         gtt, gta, gaa, _, ct = laplacian_coefficients(profile, self.t, self.angles)
         self._coeffs = tuple(np.broadcast_to(f, (self.n_t, self.m_angles))
                              for f in (gtt, gta, gaa, ct))
@@ -597,16 +648,15 @@ class MatrixFreeTubeOperator(_GridOperator):
         raise err
 
 
-def _row_norm(st, d1a, d2a, shift, gtt, gta, gaa, ct):
+def _row_norm(st, gtt, gta, gaa, ct):
     """Largest absolute row sum of the assembled 2-D matrix, never assembled.
 
-    ``st`` is the grid's :class:`RadialStencils`, ``d1a`` and ``d2a`` the
-    Fourier angle matrices, ``shift`` the axis shift, and the coefficients
-    are (n_t, K) arrays over the angle nodes, or K = 1 for coefficients
-    that do not depend on the angle: rotating the angle then permutes the
-    entries of a row.  Row (i, k) holds, on the angle nodes of each radial
-    row r its stencil reaches, the vector over m = (k - column angle) mod M
-    of
+    ``st`` is the grid's :class:`RadialStencils`, the angle coupling is
+    Fourier, and the coefficients are (n_t, K) arrays over the angle nodes,
+    or K = 1 for coefficients that do not depend on the angle: rotating the
+    angle then permutes the entries of a row.  Row (i, k) holds, on the
+    angle nodes of each radial row r its stencil reaches (a *slot*), the
+    vector over m = (k - column angle) mod M of
 
         a col2[m] + b col1[m] + c col1[m + s] + d [m = 0] + e [m = -s],
 
@@ -614,41 +664,102 @@ def _row_norm(st, d1a, d2a, shift, gtt, gta, gaa, ct):
     shift: a = g^aa on r = i; b and d the cross and radial weights of the
     stencil nodes on row r, c and e those of the reflected ones when the
     shift moves them.  Entries on one column are summed, as the assembly
-    sums duplicates, and the boundary columns are left out.  col1 vanishes
-    at m = 0, so a row fed by b, d alone sums to |b| sum|col1| + |d|, and
-    one fed by c, e alone to |c| sum|col1| + |e|; the others are summed in
-    full.
+    sums duplicates, and the boundary columns are left out.  The grid's
+    part of this, the slots and their summed weights, is
+    ``st.row_norm_table`` (:class:`_RowNormTable`); the coefficients are
+    the operator's.
+
+    col1 vanishes at m = 0, so a slot fed by b, d alone sums to
+    |b| sum|col1| + |d|, and one fed by c, e alone to |c| sum|col1| + |e|.
+    The slot r = i adds a.  col2 is even in m and col1 odd (so it vanishes
+    at m = M/2 as well), and pairing m with M - m and
+    |x + y| + |x - y| = 2 max(|x|, |y|) give the sum of that slot as
+
+        |a col2[0] + d| + |a col2[M/2]|
+            + 2 sum_{0<m<M/2} max(|a| |col2[m]|, |b| |col1[m]|).
+
+    The maximum takes |b| |col1[m]| exactly where the ratio
+    |col2[m]| / |col1[m]| lies below |b| / |a| (a = g^aa is never 0).  The
+    table holds these ratios sorted, with prefix sums of |col1| and suffix
+    sums of |col2| in that order, so the sum is one ``searchsorted`` per
+    row.  Only the slots that one stencil reaches both directly and through
+    moved reflected nodes, a few eta rows next to the axis, keep the O(M)
+    sum of the vector above.
     """
-    nodes = st.nodes
-    (n_t, width), m = nodes.shape, d1a.shape[0]
-    rows = st.rows[nodes]
-    moved = st.reflected[nodes] & (shift != 0)
-    # slot of a node: the first node of its stencil on the same radial
-    # row; the boundary row gets the extra slot, which is dropped
-    slot = np.argmax(rows[:, :, None] == rows[:, None, :], axis=2)
-    slot[rows == n_t] = width
-    a, b, c, d, e = np.zeros((5, n_t, width + 1, gtt.shape[1]))
-    i = np.arange(n_t)
-    a[i, slot[i, i + HALF_WIDTH - st.lows]] = gaa
-    for j in range(width):
-        cross = 2.0 * gta * st.w1[:, j, None]
-        radial = gtt * st.w2[:, j, None] + ct * st.w1[:, j, None]
-        is_moved = moved[:, j, None]
-        b[i, slot[:, j]] += np.where(is_moved, 0.0, cross)
-        c[i, slot[:, j]] += np.where(is_moved, cross, 0.0)
-        d[i, slot[:, j]] += np.where(is_moved, 0.0, radial)
-        e[i, slot[:, j]] += np.where(is_moved, radial, 0.0)
-    col1, col2 = d1a[:, 0], d2a[:, 0]
-    sums = (np.abs(b) + np.abs(c)) * np.abs(col1).sum() + np.abs(d) + np.abs(e)
-    direct = np.any((b != 0.0) | (d != 0.0), axis=2)
-    moved_any = np.any((c != 0.0) | (e != 0.0), axis=2)
-    rr, ss = np.nonzero(np.any(a != 0.0, axis=2) | (direct & moved_any))
-    full = (a[rr, ss, :, None] * col2 + b[rr, ss, :, None] * col1
-            + c[rr, ss, :, None] * np.roll(col1, -shift))
-    full[..., 0] += d[rr, ss]
-    full[..., -shift % m] += e[rr, ss]
-    sums[rr, ss] = np.abs(full).sum(axis=2)
-    return float(sums[:, :width].sum(axis=1).max())
+    tab = st.row_norm_table
+    gtt, gta, gaa, ct = np.broadcast_arrays(*(np.asarray(f, dtype=float)
+                                              for f in (gtt, gta, gaa, ct)))
+
+    def slot_values(w1, w2):
+        # cross and radial coefficient of each (row, slot), over the angles
+        return (2.0 * gta[:, None] * w1[..., None],
+                gtt[:, None] * w2[..., None] + ct[:, None] * w1[..., None])
+
+    b, d = slot_values(tab.w1, tab.w2)
+    c, e = slot_values(tab.moved_w1, tab.moved_w2)
+    sums = (np.abs(b) + np.abs(c)) * tab.col1_total + np.abs(d) + np.abs(e)
+    col1, col2, half = tab.col1, tab.col2, tab.col1.size // 2
+    i, s = tab.sorted_rows, tab.centre[tab.sorted_rows]
+    a, bc, dc = gaa[i], b[i, s], d[i, s]
+    abs_a, abs_b = np.abs(a), np.abs(bc)
+    idx = np.searchsorted(tab.ratios, abs_b / abs_a)
+    sums[i, s] = (np.abs(a * col2[0] + dc) + np.abs(a * col2[half])
+                  + 2.0 * (abs_b * tab.col1_prefix[idx] + abs_a * tab.col2_suffix[idx]))
+    i, s = tab.mixed
+    a = gaa[i] * (s == tab.centre[i])[:, None]
+    full = (a[..., None] * col2 + b[i, s, :, None] * col1
+            + c[i, s, :, None] * np.roll(col1, -st.axis_shift))
+    full[..., 0] += d[i, s]
+    full[..., -st.axis_shift % col1.size] += e[i, s]
+    sums[i, s] = np.abs(full).sum(axis=2)
+    return float(sums.sum(axis=1).max())
+
+
+class _RowNormTable:
+    """The grid's part of :func:`_row_norm`: stencil slots and ratio tables.
+
+    ``w1``, ``w2`` (``moved_w1``, ``moved_w2``) are the first- and
+    second-derivative weights summed per (row, slot) over the stencil nodes
+    that reach the slot's radial row directly (through a reflection moved
+    by the axis shift).  ``centre`` is the slot of each row's own radial
+    row, ``mixed`` the (rows, slots) reached both ways and ``sorted_rows``
+    the rows whose centre slot is not mixed.  ``ratios`` are |col2[m]| / |col1[m]| for 0 < m < M/2 in
+    ascending order; ``col1_prefix[q]`` sums |col1| over the first q of
+    that order and ``col2_suffix[q]`` sums |col2| over the rest.
+    """
+
+    def __init__(self, st):
+        nodes = st.nodes
+        n_t, width = nodes.shape
+        rows = st.rows[nodes]
+        moved = st.reflected[nodes] & (st.axis_shift != 0)
+        # slot of a node: the first node of its stencil on the same radial
+        # row; the boundary row gets the extra slot, which is dropped
+        slot = np.argmax(rows[:, :, None] == rows[:, None, :], axis=2)
+        slot[rows == n_t] = width
+        i = np.broadcast_to(np.arange(n_t)[:, None], slot.shape)
+        where = (moved.astype(int), i, slot)
+        weights = np.zeros((2, 2, n_t, width + 1))
+        np.add.at(weights[:, 0], where, st.w1)
+        np.add.at(weights[:, 1], where, st.w2)
+        (self.w1, self.w2), (self.moved_w1, self.moved_w2) = weights[..., :width]
+        fed = np.zeros((2, n_t, width + 1), dtype=bool)
+        fed[where] = True
+        mixed = fed[0, :, :width] & fed[1, :, :width]
+        self.mixed = np.nonzero(mixed)
+        rng = np.arange(n_t)
+        self.centre = slot[rng, rng + HALF_WIDTH - st.lows]
+        self.sorted_rows = np.flatnonzero(~mixed[rng, self.centre])
+
+        self.col1, self.col2 = _fourier_columns(st.m_angles)
+        half = st.m_angles // 2
+        abs1, abs2 = np.abs(self.col1[1:half]), np.abs(self.col2[1:half])
+        ratios = abs2 / abs1
+        order = np.argsort(ratios, kind="stable")
+        self.ratios = ratios[order]
+        self.col1_prefix = np.concatenate([[0.0], np.cumsum(abs1[order])])
+        self.col2_suffix = np.concatenate([np.cumsum(abs2[order][::-1])[::-1], [0.0]])
+        self.col1_total = np.abs(self.col1).sum()
 
 
 def _scaled(r, row_norm, u, rhs):

@@ -24,6 +24,7 @@ never enters the data.  All angles and lengths are radians.
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -226,14 +227,20 @@ def laplacian_coefficient_values(axis, t, phi, dphi, ddphi):
     return g_tt, g_ta, g_aa, g_bb, ct
 
 
-def _quad_nodes(profile, quad_order):
-    if quad_order < 2:
-        raise ConfigError(f"quad_order must be >= 2, got {quad_order}")
+@lru_cache(maxsize=32)        # one entry per order asked for, a few in practice
+def _gauss_rule(quad_order):
+    """Gauss-Legendre nodes and weights on (0, 1), once per order, read-only."""
     tq, tw = np.polynomial.legendre.leggauss(quad_order)
     tq = 0.5 * (tq + 1.0)       # open rule on (0,1): no node on the axis
     tw = 0.5 * tw
-    m_angles = max(32, 4 * (profile.n_modes + 1), quad_order)
-    return tq, tw, angle_grid(m_angles)
+    tq.flags.writeable = tw.flags.writeable = False
+    return tq, tw
+
+
+def _quad_angles(profile, quad_order):
+    if quad_order < 2:
+        raise ConfigError(f"quad_order must be >= 2, got {quad_order}")
+    return angle_grid(max(32, 4 * (profile.n_modes + 1), quad_order))
 
 
 def volume(profile, quad_order=40):
@@ -243,8 +250,8 @@ def volume(profile, quad_order=40):
     periodic trapezoid in the active angle, times 2*pi for the passive one.
     A constant profile lam gives 2 pi^2 sin^2(lam) exactly.
     """
-    tq, tw, ang = _quad_nodes(profile, quad_order)
-    phi = profile.value(ang)[None, :]
+    phi = profile.value(_quad_angles(profile, quad_order))[None, :]
+    tq, tw = _gauss_rule(quad_order)
     dens = phi * np.sin(tq[:, None] * phi) * np.cos(tq[:, None] * phi)
     return float(tw @ dens.mean(axis=1)) * (2.0 * np.pi) ** 2
 
@@ -254,9 +261,10 @@ def boundary_area(profile, quad_order=40):
 
     The induced area element is sin(phi) sqrt(phi'^2 + cos^2 phi) for a
     xi-profile (sin and cos swap for eta); the constant case gives
-    4 pi^2 sin(lam) cos(lam).
+    4 pi^2 sin(lam) cos(lam).  ``quad_order`` sets only the angle grid, as
+    for :func:`volume`.
     """
-    _, _, ang = _quad_nodes(profile, quad_order)
+    ang = _quad_angles(profile, quad_order)
     return float(np.mean(boundary_area_element(profile, ang))) * (2.0 * np.pi) ** 2
 
 

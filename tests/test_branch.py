@@ -12,14 +12,14 @@ from serrin.torsion import serrin_defect, solve_torsion
 XI, ETA = Axis.XI, Axis.ETA
 
 
-def _fd_jacobian(mode, x, s, truncation, resolution, h):
+def _fd_jacobian(mode, x, s, truncation, grid, h):
     """Central-difference Jacobian of the projected flux equations: the oracle."""
     jac = np.empty((truncation, truncation))
     for col in range(truncation):
         step = np.zeros(truncation)
         step[col] = h
-        res_p = branch._residual(mode, x + step, s, truncation, resolution)[0]
-        res_m = branch._residual(mode, x - step, s, truncation, resolution)[0]
+        res_p = branch._residual(mode, x + step, s, truncation, grid)[0]
+        res_m = branch._residual(mode, x - step, s, truncation, grid)[0]
         jac[:, col] = (res_p - res_m) / (2.0 * h)
     return jac
 
@@ -166,6 +166,23 @@ class TestBranch:
         assert built and not any(p.is_constant for p in built)
         assert np.array_equal(run.points[0].neumann, cert_xi2.lambda_field.neumann)
 
+    def test_one_grid_serves_the_whole_run(self, monkeypatch):
+        # certificate included: one stencil table and one trace table, each
+        # one fd_weights call, and no continued point builds stencils
+        weights = _record_calls(monkeypatch, discrete, "fd_weights")
+        stencils = _record_calls(monkeypatch, discrete.RadialStencils, "__init__")
+        run = trace_branch(ModeIndex(XI, 2), s_max=0.005, n_steps=2,
+                           resolution=(40, 32), truncation=8)
+        assert len(run.points) == 3 and run.points[-1].defect < 1e-6
+        assert len(weights) == 2 and len(stencils) == 1
+        assert run.certificate.grid.stencils is stencils[0]
+
+    def test_a_certificate_on_another_grid_costs_one_grid(self, cert_xi2, monkeypatch):
+        stencils = _record_calls(monkeypatch, discrete.RadialStencils, "__init__")
+        trace_branch(ModeIndex(XI, 2), s_max=0.005, n_steps=2,
+                     resolution=(40, 32), truncation=8, certificate=cert_xi2)
+        assert len(stencils) == 1
+
     def test_continuation_runs_no_riccati_integration(self, cert_xi2):
         # the chord Jacobian holds the certificate's discrete eigenvalues;
         # no step needs the ODE eigenvalues of the modes other than j
@@ -184,14 +201,14 @@ class TestBranch:
 class TestTangentJacobian:
     @pytest.mark.parametrize("axis", [XI, ETA])
     def test_matches_central_differences(self, axis, lambda_roots):
-        mode, truncation, resolution = ModeIndex(axis, 2), 8, (48, 32)
+        mode, truncation, grid = ModeIndex(axis, 2), 8, discrete.TubeGrid(axis, 48, 32)
         x = np.concatenate([[lambda_roots[(axis, 2)].lambda_n + 0.01],
                             0.002 * np.arange(1, truncation) / truncation])
         s = 0.01
-        _, fld, op = branch._residual(mode, x, s, truncation, resolution)
+        _, fld, op = branch._residual(mode, x, s, truncation, grid)
         free_modes = [m for m in range(1, truncation + 1) if m != 2]
         jac = branch._jacobian(op, fld, truncation, free_modes)
-        oracle = _fd_jacobian(mode, x, s, truncation, resolution, 1e-4)
+        oracle = _fd_jacobian(mode, x, s, truncation, grid, 1e-4)
         assert np.max(np.abs(jac - oracle)) < 1e-5 * np.max(np.abs(jac))
 
 
@@ -266,8 +283,8 @@ class TestFailurePaths:
         real = branch._residual
         calls = []
 
-        def residual(mode, x, s, truncation, resolution):
-            res, fld, op = real(mode, x, s, truncation, resolution)
+        def residual(mode, x, s, truncation, grid):
+            res, fld, op = real(mode, x, s, truncation, grid)
             calls.append(x)
             if len(calls) > 1:          # every trial step: no descent
                 res = res + 1.0
@@ -276,7 +293,7 @@ class TestFailurePaths:
         monkeypatch.setattr(branch, "_residual", residual)
         x0 = np.concatenate([[cert_xi2.lambda_j], np.zeros(7)])
         with pytest.raises(NumericalError, match="five step halvings") as info:
-            branch._newton_solve(ModeIndex(XI, 2), x0, 0.005, 8, (48, 32),
+            branch._newton_solve(ModeIndex(XI, 2), x0, 0.005, 8, cert_xi2.grid,
                                  1e-10, 12, cert_xi2.details["sigmas"],
                                  cert_xi2.transversality_slope)
         # the start, one discarded chord trial and five halvings
@@ -289,7 +306,7 @@ class TestFailurePaths:
     def test_no_convergence_carries_the_residual_history(self, cert_xi2):
         x0 = np.concatenate([[cert_xi2.lambda_j], np.zeros(7)])
         with pytest.raises(NumericalError, match="no convergence in 1 iterations") as info:
-            branch._newton_solve(ModeIndex(XI, 2), x0, 0.005, 8, (48, 32),
+            branch._newton_solve(ModeIndex(XI, 2), x0, 0.005, 8, cert_xi2.grid,
                                  1e-10, 1, cert_xi2.details["sigmas"],
                                  cert_xi2.transversality_slope)
         details = info.value.details

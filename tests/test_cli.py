@@ -58,6 +58,10 @@ class TestRoots:
         assert by_n[2]["sigma_prime_closed_form"] > 0.0
         assert by_n[3]["lambda_n"] < by_n[2]["lambda_n"]
         assert all(r["sign_changes"] == 1 for r in records)
+        # the Brent step tolerance, not the root's accuracy, which the
+        # curve's sweep_rtol bounds
+        assert all(r["tolerances"] == {"brent_xtol": 1e-12, "sweep_rtol": 1e-10}
+                   for r in records)
 
     def test_low_mode_rejected(self, tmp_path):
         assert run(["roots", "--n-min", "1", "--out", str(tmp_path)]) == 2

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from serrin.discrete import HALF_WIDTH, RadialStencils, fd_weights, radial_grid
+from serrin.discrete import (HALF_WIDTH, MatrixFreeTubeOperator, RadialStencils,
+                             StraightTubeOperator, TubeGrid, TubeOperator, fd_weights,
+                             radial_grid)
+from serrin.errors import ConfigError
+from serrin.geometry import Axis, BoundaryProfile
 
 GRIDS = [(8, 4), (64, 64), (256, 48)]
 
@@ -74,3 +78,74 @@ class TestFdWeights:
                 scale = np.abs(terms).sum(axis=1) + np.abs(exact)
                 err = np.abs(terms.sum(axis=1) - exact)
                 assert np.all(err <= 1e-8 * scale), f"x^{p}, order {d}"
+
+
+# the constant, j = 2 and j = 3 profiles, the latter two with side modes
+ROW_NORM_PROFILES = ([0.8], [0.8, 0.0, 0.05, 0.0, 0.01], [0.7, 0.02, 0.0, 0.08])
+
+
+class TestRowNorm:
+    """The sorted-ratio row norm against the assembled matrix's row sums."""
+
+    # 48x34 has M/2 = 17 odd; 48x36 has M/4 = 9 odd
+    @pytest.mark.parametrize("n_t, m", [(40, 32), (48, 36), (48, 34), (64, 64)])
+    @pytest.mark.parametrize("axis", [Axis.XI, Axis.ETA])
+    def test_matches_the_assembled_matrix(self, axis, n_t, m):
+        for coeffs in ROW_NORM_PROFILES:
+            prof = BoundaryProfile(axis, coeffs)
+            want = np.abs(TubeOperator(prof, n_t, m).matrix).sum(axis=1).max()
+            ops = [MatrixFreeTubeOperator(prof, n_t, m)]
+            if len(coeffs) == 1:
+                # the straight tube's scalar g^ta and angle-free coefficients
+                ops.append(StraightTubeOperator(axis, coeffs[0], n_t, m))
+            for op in ops:
+                assert abs(op.row_norm - want) <= 1e-12 * want, (type(op).__name__, coeffs)
+
+    @pytest.mark.parametrize("axis", [Axis.XI, Axis.ETA])
+    def test_only_eta_rows_by_the_axis_keep_the_full_sum(self, axis):
+        table = TubeGrid(axis, 48, 32).stencils.row_norm_table
+        rows, _ = table.mixed
+        if axis is Axis.XI:
+            assert rows.size == 0 and not table.moved_w1.any()
+        else:
+            # row i < HALF_WIDTH reaches HALF_WIDTH - i rows both ways
+            assert rows.size == HALF_WIDTH * (HALF_WIDTH + 1) // 2
+            assert np.all(rows < HALF_WIDTH)
+
+
+class TestSharedGrid:
+    """Operators built on one shared grid are the operators built alone."""
+
+    @pytest.mark.parametrize("axis", [Axis.XI, Axis.ETA])
+    def test_shared_grid_operators_are_bitwise_fresh_ones(self, axis):
+        n_t, m = 40, 32
+        grid = TubeGrid(axis, n_t, m)
+        prof = BoundaryProfile(axis, ROW_NORM_PROFILES[1])
+        t = radial_grid(n_t)
+        u = np.sin(3.0 * t)[:, None] * (1.0 + 0.3 * np.cos(np.arange(m)))[None, :]
+        bc = 0.5 + np.cos(np.arange(m))
+        pairs = [(StraightTubeOperator(axis, 0.8, n_t, m),
+                  StraightTubeOperator(axis, 0.8, n_t, m, grid=grid)),
+                 (MatrixFreeTubeOperator(prof, n_t, m),
+                  MatrixFreeTubeOperator(prof, n_t, m, grid=grid))]
+        for fresh, shared in pairs:
+            assert shared.grid is grid and fresh.grid is not grid
+            assert np.array_equal(shared.apply(u, bc), fresh.apply(u, bc))
+            assert np.array_equal(shared.solve(-1.0, bc), fresh.solve(-1.0, bc))
+            assert shared.row_norm == fresh.row_norm
+
+    def test_grid_is_read_only(self):
+        grid = TubeGrid(Axis.ETA, 40, 32)
+        for array in (grid.t, grid.angles, grid.d1a, grid.d2a, grid.stencils.w1,
+                      grid.stencils.colmap):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("grid_args", [(Axis.ETA, 40, 32), (Axis.XI, 48, 32),
+                                           (Axis.XI, 40, 32, "fd2"), (Axis.XI, 40, 32, "fourier", 16)])
+    def test_a_grid_of_other_sizes_or_scheme_is_rejected(self, grid_args):
+        grid = TubeGrid(*grid_args)
+        with pytest.raises(ConfigError, match="does not match"):
+            StraightTubeOperator(Axis.XI, 0.8, 40, 32, grid=grid)
+        with pytest.raises(ConfigError, match="does not match"):
+            MatrixFreeTubeOperator(BoundaryProfile.constant(Axis.XI, 0.8), 40, 32, grid=grid)

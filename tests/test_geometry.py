@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from serrin import geometry
 from serrin.errors import ConfigError, DomainValidationError
 from serrin.geometry import (Axis, BoundaryProfile, ModeIndex, boundary_area,
                              laplacian_coefficients, neumann_weight, volume)
@@ -145,6 +146,19 @@ class TestQuadrature:
     def test_quad_order_validation(self):
         with pytest.raises(ConfigError):
             volume(BoundaryProfile.constant(Axis.XI, 0.4), quad_order=1)
+        with pytest.raises(ConfigError):
+            boundary_area(BoundaryProfile.constant(Axis.XI, 0.4), quad_order=1)
+
+    def test_gauss_rule_is_computed_once_per_order(self):
+        prof = BoundaryProfile(Axis.XI, [0.7, 0.0, 0.06])
+        geometry._gauss_rule.cache_clear()
+        area = boundary_area(prof)          # needs the angle grid only
+        assert geometry._gauss_rule.cache_info().currsize == 0
+        first = volume(prof)
+        assert volume(prof) == first and boundary_area(prof) == area
+        assert geometry._gauss_rule.cache_info().misses == 1
+        tq, tw = geometry._gauss_rule(40)
+        assert not tq.flags.writeable and not tw.flags.writeable
 
 
 class TestNeumannWeight:
