@@ -5,14 +5,24 @@ nonconstant profiles with constant boundary flux bifurcates off the
 straight tubes.  The branch is parameterized by the amplitude s of its
 kernel mode: the profile ansatz is
 
-    phi_s = lambda(s) + s * (cos(j * angle) + w_s),    P_j w_s = 0,
+    phi_s = lambda(s) + s * (cos(j * angle) + w_s),    P_j w_s = 0.
 
-and for each amplitude the unknowns (lambda, low-mode coefficients of s*w_s)
-solve the projected equations
+The straight tubes are invariant under rotations of the angle, so the flux
+map sends the even 2 pi/j-periodic profiles, span{cos(kj .)}, into
+themselves; that is the space in which such bifurcations have a
+one-dimensional kernel (Schlenk and Sicbaldi, Adv. Math. 230, 2012; Fall,
+Minlend and Weth, Arch. Ration. Mech. Anal. 223, 2017).  The branch is
+solved there: for each amplitude the unknowns (lambda, the coefficients of
+s*w_s on the modes 2j, 3j, ... <= truncation) solve the projected equations
 
-    P_m [ H(phi_s) ] = 0   for 1 <= m <= truncation,
+    P_m [ H(phi_s) ] = 0   for m = j, 2j, ... <= truncation,
 
-by Newton iteration.  Near lambda_j the linearized flux map is the
+by Newton iteration, with every field on the sector [0, 2 pi/j) of the
+angle grid (a :class:`~serrin.discrete.TubeGrid` of symmetry order j).  On
+a grid of order 1 the same solver keeps every mode 1..truncation: that is
+the full-grid solve, which the tests keep as the oracle.
+
+Near lambda_j the linearized flux map is the
 mode-diagonal L_lambda plus O(s) (Crandall and Rabinowitz, J. Funct. Anal.
 8, 1971), so each point starts with chord steps on the leading-order
 Lyapunov-Schmidt Jacobian, built from the certificate's discrete
@@ -24,8 +34,9 @@ the discrete flux map (:func:`serrin.torsion.flux_tangents`), built once at
 the current iterate.  The mean flux is left
 free (a constant flux offset is absorbed by lambda, so the mean-mode
 equation and unknown are both dropped).  Before tracing, the bifurcation
-hypotheses are certified numerically: trivial branch, one-dimensional
-kernel, spectral gap, and transversal eigenvalue crossing.
+hypotheses are certified numerically on the full grid, every mode up to
+the truncation: trivial branch, one-dimensional kernel, spectral gap, and
+transversal eigenvalue crossing.
 """
 
 from dataclasses import dataclass, field
@@ -66,18 +77,34 @@ class CRCertificate:
     passed: bool
     details: dict = field(default_factory=dict)
     # torsion field of the straight tube lambda_j at details["resolution"],
-    # the s = 0 point of a branch traced at that resolution, and the grid
-    # its operators were built on, which such a branch builds on too
+    # the s = 0 point of a branch traced at that resolution, and the full
+    # grid its operators were built on
     lambda_field: TorsionField = field(default=None, repr=False, compare=False)
     grid: TubeGrid = field(default=None, repr=False, compare=False)
 
 
-def _discrete_sigmas(mode, lam, truncation, operator):
-    out = np.empty(truncation + 1)
-    for m in range(truncation + 1):
+def _discrete_sigmas(mode, lam, modes, operator):
+    """sigma_m(lam) for m in ``modes`` on the operator's grid, NaN at the other m.
+
+    On a grid of symmetry order j, ``modes`` must be multiples of j.
+    """
+    out = np.full(max(modes) + 1, np.nan)
+    for m in modes:
         la = apply_L(lam, CosineSeries.basis(m), axis=mode.axis, operator=operator)
         out[m] = la.series.coefficient(m)
     return out
+
+
+def _check_truncation(mode, truncation, resolution):
+    m_angles = resolution[1]
+    if truncation < mode.n:
+        raise DomainValidationError(
+            f"truncation {truncation} is below the kernel mode {mode.n}")
+    if truncation >= m_angles // 2:
+        raise DomainValidationError(
+            f"truncation {truncation} reaches the Nyquist mode {m_angles // 2} of "
+            f"{m_angles} angle nodes, whose discrete eigenvalue is 0; it must stay "
+            f"below {m_angles // 2}")
 
 
 def check_cr_hypotheses(mode, truncation=16, resolution=(64, 64),
@@ -90,21 +117,21 @@ def check_cr_hypotheses(mode, truncation=16, resolution=(64, 64),
     ``kernel_tol``, namely mode j; (iii) every other eigenvalue stays beyond
     ``gap_floor`` (codimension-one range); (iv) the kernel eigenvalue
     crosses zero transversally, with the sign of the closed-form slope.
-    A truncation below j cannot see the kernel mode and raises
-    :class:`DomainValidationError` before any solve.
+    A truncation below j cannot see the kernel mode, and one at or above
+    M/2 reaches the Nyquist mode of the M angle nodes, whose discrete
+    eigenvalue is exactly 0; both raise :class:`DomainValidationError`
+    before any solve.
     Every straight-tube solve, the torsion fields of (i) and the discrete
     eigenvalues alike, goes through the mode-diagonal
-    :class:`~serrin.discrete.StraightTubeOperator`, all on one
+    :class:`~serrin.discrete.StraightTubeOperator`, all on one full
     :class:`~serrin.discrete.TubeGrid`.  Any failure raises
     :class:`AnalysisError` naming the item; its ``details`` hold lambda_j,
     the resolution, the truncation, the trivial defect and the ``sigmas``
     computed so far.
     """
     mode = ModeIndex.coerce(mode)
-    if truncation < mode.n:
-        raise DomainValidationError(
-            f"truncation {truncation} is below the kernel mode {mode.n}")
     n_t, m_angles = parse_resolution(resolution)
+    _check_truncation(mode, truncation, (n_t, m_angles))
     root = find_lambda_n(mode)
     lam_j = root.lambda_n
     details = {"lambda_j": lam_j, "resolution": (n_t, m_angles), "truncation": truncation,
@@ -130,7 +157,7 @@ def check_cr_hypotheses(mode, truncation=16, resolution=(64, 64),
     if trivial > 1e-10:
         raise failure(f"hypothesis (i) trivial branch: straight-tube defect {trivial:.3e}")
 
-    sig = _discrete_sigmas(mode, lam_j, truncation, op_j)
+    sig = _discrete_sigmas(mode, lam_j, range(truncation + 1), op_j)
     details["sigmas"] = sig.tolist()
     below = np.flatnonzero(np.abs(sig) < kernel_tol)
     if below.size != 1 or below[0] != mode.n:
@@ -142,7 +169,7 @@ def check_cr_hypotheses(mode, truncation=16, resolution=(64, 64),
     if gap <= gap_floor:
         raise failure(f"hypothesis (iii) range: spectral gap {gap:.3e} <= {gap_floor:.0e}")
 
-    plus, minus = (_discrete_sigmas(mode, lam, mode.n, straight(lam))[mode.n]
+    plus, minus = (_discrete_sigmas(mode, lam, [mode.n], straight(lam))[mode.n]
                    for lam in (lam_j + fd_step, lam_j - fd_step))
     slope = (plus - minus) / (2.0 * fd_step)
     closed = sigma_prime_closed_form(root)
@@ -171,10 +198,12 @@ class BranchPoint:
     defect: float
     newton_iters: int            # accepted Newton steps, chord or tangent
     tangent_jacobians: int       # exact tangent Jacobians built: 0 or 1
-    neumann: np.ndarray
+    neumann: np.ndarray          # on the full angle grid
     volume: float
     area: float
     mean_flux: float             # area-weighted, from torsion.mean_flux
+    krylov_iterations: int       # GMRES iterations of the accepted torsion solve
+    sine_residual: float         # sine content of the flux, a symmetry diagnostic
 
     @property
     def kernel_orthogonality(self):
@@ -198,33 +227,39 @@ class BranchRun:
     certificate: CRCertificate
 
 
-def _profile_from_state(mode, x, s, truncation):
+def _equation_modes(truncation, grid):
+    """Frequencies of the projected equations: the multiples of the grid's order."""
+    return np.arange(grid.symmetry, truncation + 1, grid.symmetry)
+
+
+def _profile_from_state(mode, x, s, truncation, grid):
+    """x = (lambda, the coefficients of the equation modes other than j, in order)."""
+    modes = _equation_modes(truncation, grid)
     coeffs = np.zeros(truncation + 1)
     coeffs[0] = x[0]
+    coeffs[modes[modes != mode.n]] = x[1:]
     coeffs[mode.n] = s
-    idx = 1
-    for m in range(1, truncation + 1):
-        if m == mode.n:
-            continue
-        coeffs[m] = x[idx]
-        idx += 1
     return BoundaryProfile(mode.axis, coeffs)
+
+
+def _project(values, truncation, grid):
+    """Cosine coefficients of the equation modes from samples on the grid's angles."""
+    j = grid.symmetry
+    return cosine_coefficients(values, truncation, j)[0][j::j]
 
 
 def _residual(mode, x, s, truncation, grid):
     """Projected flux equations at state x, their field and matrix-free operator."""
-    profile = _profile_from_state(mode, x, s, truncation)
+    profile = _profile_from_state(mode, x, s, truncation, grid)
     operator = MatrixFreeTubeOperator(profile, *grid.resolution, grid=grid)
     fld = torsion_field(operator)
-    coeffs, _ = cosine_coefficients(fld.neumann)
-    return coeffs[1:truncation + 1].copy(), fld, operator
+    return _project(fld.neumann, truncation, grid), fld, operator
 
 
 def _jacobian(operator, fld, truncation, free_modes):
     """Exact Jacobian of the projected flux equations in (lambda, b_m)."""
     tangents = flux_tangents(operator, fld, [0] + free_modes)
-    return np.column_stack([cosine_coefficients(col)[0][1:truncation + 1]
-                            for col in tangents.T])
+    return np.column_stack([_project(col, truncation, operator.grid) for col in tangents.T])
 
 
 def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
@@ -232,57 +267,64 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
     """Trace the bifurcating branch up to amplitude ``s_max``.
 
     Amplitudes are the uniform grid k * s_max/n_steps.  Each point is
-    solved by Newton iteration on the projected flux equations from the
-    secant predictor (:func:`_newton_solve`).  Its first steps are chord
-    steps on the leading-order Jacobian J0(s), which holds the discrete
-    eigenvalues sigma_m(lambda_j) of the free modes and s times the
-    certificate's transversality slope.  The eigenvalues are the
-    certificate's when it was computed on the run's grid to at least the
-    run's truncation, else they are computed on the run's grid.  A chord
-    step that does not cut the residual by ``CHORD_CONTRACTION`` is
-    discarded; the point then builds the exact tangent of the discrete flux
-    map at its current iterate, all of its columns solved with the
-    matrix-free operator the residual there already built, and keeps it
-    frozen.  The s = 0 point reuses the certificate's lambda_j field when
-    the resolutions agree.  Every operator of the run is built on one
-    :class:`~serrin.discrete.TubeGrid`, the certificate's when the
-    resolutions agree.  A point whose iteration diverges, or whose line
-    search cannot lower the residual in five halvings, is retried from the
-    half-amplitude; a second failure raises :class:`NumericalError` with
-    the run so far as ``partial_run`` and the mode, failing amplitude, last
-    good amplitude, resolution and truncation as ``details``, plus the
-    failed Newton solve's own ``details`` under ``newton``.  Profiles
-    leaving the admissible band terminate the run with a reason.
+    solved by Newton iteration on the projected flux equations of the modes
+    j, 2j, ... <= truncation from the secant predictor
+    (:func:`_newton_solve`), with every field on the sector [0, 2 pi/j):
+    the run builds one :class:`~serrin.discrete.TubeGrid` of symmetry order
+    j, and every residual's matrix-free operator and its preconditioner
+    are built on it.  M/j must be an even integer, else a
+    :class:`ConfigError` names the nearest valid M before the certificate
+    runs; the truncation must lie in [j, M/2), as for
+    :func:`check_cr_hypotheses`.  A point's ``neumann`` is the sector's
+    flux repeated j times, the full angle grid.
+
+    A point's first steps are chord steps on the leading-order Jacobian
+    J0(s), which holds the discrete eigenvalues sigma_m(lambda_j) of the
+    free modes and s times the certificate's transversality slope.  The
+    eigenvalues are the certificate's when it was computed at the run's
+    resolution to at least the run's truncation, else they are computed on
+    the run's grid for the multiples of j.  A chord step that does not cut
+    the residual by ``CHORD_CONTRACTION`` is discarded; the point then
+    builds the exact tangent of the discrete flux map at its current
+    iterate, all of its columns solved with the matrix-free operator the
+    residual there already built, and keeps it frozen.  The s = 0 point
+    reuses the certificate's lambda_j field when the resolutions agree,
+    else solves it on the run's grid.  A point whose iteration diverges, or
+    whose line search cannot lower the residual in five halvings, is
+    retried from the half-amplitude; a second failure raises
+    :class:`NumericalError` with the run so far as ``partial_run`` and the
+    mode, failing amplitude, last good amplitude, resolution and truncation
+    as ``details``, plus the failed Newton solve's own ``details`` under
+    ``newton``.  Profiles leaving the admissible band terminate the run
+    with a reason.
     """
     mode = ModeIndex.coerce(mode)
+    resolution = parse_resolution(resolution)
+    _check_truncation(mode, truncation, resolution)
+    grid = TubeGrid(mode.axis, *resolution, symmetry=mode.n)
     if certificate is None:
         certificate = check_cr_hypotheses(mode, truncation, resolution)
     lam_j = certificate.lambda_j
-    n_free = truncation - 1          # coefficients b_m, m != j, plus lambda
     settings = {"s_max": float(s_max), "n_steps": int(n_steps),
-                "resolution": parse_resolution(resolution),
+                "resolution": resolution,
                 "truncation": int(truncation), "newton_tol": float(newton_tol),
                 "max_newton": int(max_newton)}
 
-    resolution = settings["resolution"]
-    grid = certificate.grid
-    if grid is None or (grid.axis, grid.resolution) != (mode.axis, resolution):
-        grid = TubeGrid(mode.axis, *resolution)
+    modes = _equation_modes(truncation, grid)
     fld0, sigmas = certificate.lambda_field, np.asarray(certificate.details["sigmas"])
     if fld0 is None or certificate.details["resolution"] != resolution:
         op_j = StraightTubeOperator(mode.axis, lam_j, *resolution, grid=grid)
-        fld0, sigmas = torsion_field(op_j), _discrete_sigmas(mode, lam_j, truncation, op_j)
+        fld0, sigmas = torsion_field(op_j), _discrete_sigmas(mode, lam_j, modes, op_j)
     elif sigmas.size <= truncation:
-        sigmas = _discrete_sigmas(mode, lam_j, truncation, StraightTubeOperator(
+        sigmas = _discrete_sigmas(mode, lam_j, modes, StraightTubeOperator(
             mode.axis, lam_j, *resolution, grid=grid))
-    points = [_make_point(mode, 0.0, np.concatenate([[lam_j], np.zeros(n_free)]),
-                          truncation, fld0, 0, 0)]
+    x = np.concatenate([[lam_j], np.zeros(modes.size - 1)])
+    points = [_make_point(mode, 0.0, x, fld0, 0, 0, resolution)]
 
     def newton(x0, amplitude):
         return _newton_solve(mode, x0, amplitude, truncation, grid, newton_tol,
                              max_newton, sigmas, certificate.transversality_slope)
 
-    x = np.concatenate([[lam_j], np.zeros(n_free)])
     x_prev = None
     termination = "completed"
     for k in range(1, n_steps + 1):
@@ -309,23 +351,27 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
         except DomainValidationError as exc:
             termination = f"profile left the admissible band at s={s:.5f}: {exc}"
             break
-        points.append(_make_point(mode, s, x_new, truncation, fld, iters, tangents))
+        points.append(_make_point(mode, s, x_new, fld, iters, tangents, resolution))
         x_prev, x = x, x_new
 
     return BranchRun(mode, points, settings, termination, certificate)
 
 
-def _chord_jacobian(mode, s, sigmas, slope, free_modes):
+def _chord_jacobian(mode, s, sigmas, slope, modes):
     """Leading-order Lyapunov-Schmidt Jacobian J0(s) of the projected equations.
 
-    At the straight tube lambda_j the flux derivative along cos(m .) is
+    ``modes`` are the frequencies of the equations in order; the unknowns
+    are lambda and the coefficients of the same modes but j, in order.  At
+    the straight tube lambda_j the flux derivative along cos(m .) is
     sigma_m cos(m .), so equation m sees only its own coefficient b_m,
     and equation j, whose coefficient is pinned to s, sees lambda through
     s * d sigma_j / d lambda.  No PDE solve is needed.
     """
-    jac = np.zeros((len(free_modes) + 1,) * 2)
-    jac[mode.n - 1, 0] = s * slope
-    jac[np.subtract(free_modes, 1), np.arange(1, jac.shape[1])] = np.take(sigmas, free_modes)
+    modes = np.asarray(modes)
+    free = np.flatnonzero(modes != mode.n)
+    jac = np.zeros((modes.size,) * 2)
+    jac[modes == mode.n, 0] = s * slope
+    jac[free, np.arange(1, modes.size)] = np.take(sigmas, modes[free])
     return jac
 
 
@@ -333,32 +379,38 @@ def _newton_solve(mode, x0, s, truncation, grid, tol, max_iter, sigmas, slope):
     """Solve one branch point: (state, field, iterations, tangent Jacobians built).
 
     Every residual's operator is built on the :class:`~serrin.discrete.TubeGrid`
-    ``grid``.
+    ``grid``, and the equations and unknowns are those of the multiples of
+    its symmetry order (:func:`_profile_from_state`): the modes j, 2j, ...
+    on a grid of order j, every mode on a grid of order 1.
 
-    ``sigmas`` are the discrete eigenvalues sigma_m(lambda_j) for
-    m <= truncation and ``slope`` is d sigma_j / d lambda there; they give
-    the chord Jacobian (:func:`_chord_jacobian`).  A chord step is kept
-    when it cuts max|res| to at most ``CHORD_CONTRACTION`` times its
+    ``sigmas`` are the discrete eigenvalues sigma_m(lambda_j), indexed by
+    m, for the equation modes and ``slope`` is d sigma_j / d lambda there;
+    they give the chord Jacobian (:func:`_chord_jacobian`).  A chord step
+    is kept when it cuts max|res| to at most ``CHORD_CONTRACTION`` times its
     previous value.  Otherwise it is discarded, and the exact tangent
     Jacobian is built once, at the current iterate and from the operator
     and field its residual built, and stays frozen; each step on it takes
     a line search of up to five halvings.  The iteration count counts the
     accepted steps of either kind.  Every failure raises
     :class:`NumericalError` whose ``details`` hold s, the iteration count,
-    the max-norm residual of each accepted iterate, the Jacobian in use
+    the max-norm residual and the GMRES iteration count of the torsion
+    solve of each accepted iterate, the Jacobian in use
     (``"chord"`` or ``"tangent"``) and, after an escalation, the
     contraction ratio of the chord step that triggered it.
     """
-    free_modes = [m for m in range(1, truncation + 1) if m != mode.n]
+    modes = _equation_modes(truncation, grid)
+    free_modes = [int(m) for m in modes if m != mode.n]
     x = x0.copy()
     res, fld, operator = _residual(mode, x, s, truncation, grid)
-    jac = _chord_jacobian(mode, s, sigmas, slope, free_modes)
+    jac = _chord_jacobian(mode, s, sigmas, slope, modes)
     kind, contraction, iters = "chord", None, 0
     history = [float(np.max(np.abs(res)))]
+    krylov = [fld.krylov_iterations]
 
     def failure(message):
         err = NumericalError(message)
-        err.details = {"s": s, "iterations": iters, "residuals": history, "jacobian": kind}
+        err.details = {"s": s, "iterations": iters, "residuals": history,
+                       "krylov_iterations": krylov, "jacobian": kind}
         if contraction is not None:
             err.details["contraction"] = contraction
         return err
@@ -396,10 +448,11 @@ def _newton_solve(mode, x0, s, truncation, grid, tol, max_iter, sigmas, slope):
             res, fld = res_new, fld_new
         iters += 1
         history.append(float(np.max(np.abs(res))))
+        krylov.append(fld.krylov_iterations)
     return x, fld, iters, int(kind == "tangent")
 
 
-def _make_point(mode, s, x, truncation, fld, iters, tangents):
+def _make_point(mode, s, x, fld, iters, tangents, resolution):
     prof = fld.profile
     if s != 0.0:
         w_coeffs = prof.coeffs.copy()
@@ -408,9 +461,13 @@ def _make_point(mode, s, x, truncation, fld, iters, tangents):
         w = CosineSeries(w_coeffs / s)
     else:
         w = CosineSeries([0.0])
+    # the sector's nodes are the first M/j nodes of the full grid, so the
+    # 2 pi/j-periodic flux on the full grid is the sector's repeated
+    neumann = np.tile(fld.neumann, resolution[1] // fld.neumann.size)
     return BranchPoint(mode, float(s), float(x[0]), w, prof,
-                       serrin_defect(fld), int(iters), int(tangents), fld.neumann.copy(),
-                       volume(prof), boundary_area(prof), mean_flux(fld))
+                       serrin_defect(fld), int(iters), int(tangents), neumann,
+                       volume(prof), boundary_area(prof), mean_flux(fld),
+                       int(fld.krylov_iterations), cosine_coefficients(neumann)[1])
 
 
 @dataclass
@@ -448,6 +505,8 @@ def branch_report(run):
             "divergence_gap": p.divergence_gap,
             "newton_iters": p.newton_iters,
             "tangent_jacobians": p.tangent_jacobians,
+            "krylov_iterations": p.krylov_iterations,
+            "sine_residual": p.sine_residual,
             "kernel_coefficient": p.profile.coeffs[p.mode.n]
                 if p.mode.n < p.profile.coeffs.size else 0.0,
             "leading_modes": [(m, a) for a, m in lead if a > 0.0],

@@ -39,14 +39,23 @@ angular block, which SuperLU's default column ordering fills badly.
 Who owns the grid: a :class:`TubeGrid` holds everything that depends on
 the axis and the grid but not on the profile (the radial and angle nodes,
 the Fourier matrices, the :class:`RadialStencils` and, built on first use,
-the stencils' row-norm table).  Each operator reads its grid and never
-writes it.  An operator built without one builds its own; a caller that
-builds many operators on one grid builds the grid once and passes it as
-``grid=``.  ``branch.check_cr_hypotheses`` builds one grid for all its
-straight tubes and keeps it on the certificate, and ``branch.trace_branch``
-reuses it (or builds one when the resolutions differ) for every residual's
-matrix-free operator and its preconditioner.  The library keeps no cache
-of grids.
+the row-norm table).  Each operator reads its grid and never writes it.  An
+operator built without one builds its own; a caller that builds many
+operators on one grid builds the grid once and passes it as ``grid=``.
+``branch.check_cr_hypotheses`` builds one full grid for all its straight
+tubes and keeps it on the certificate.  ``branch.trace_branch`` builds one
+grid of symmetry order j for every residual's matrix-free operator and its
+preconditioner.  The library keeps no cache of grids.
+
+Symmetric fields: the straight tube is invariant under rotations of the
+angle, so the torsion problem of a 2 pi/j-periodic profile has a 2 pi/j-
+periodic solution.  A grid of symmetry order j holds the sector [0, 2 pi/j)
+of the M-node grid, M/j nodes, with the angle matrices and the reflection
+shift of the sector (see :class:`TubeGrid`).  The matrix-free and the
+straight-tube operator work on it unchanged: the straight tube's mode k
+there is the full grid's mode kj, and its reflected nodes carry the factor
+(-1)^k of a half-sector shift (odd j) or 1 (even j, where the half turn is
+a whole number of sectors).
 
 Which operator serves which caller:
 
@@ -198,9 +207,6 @@ class RadialStencils:
     the angle moved by ``axis_shift``, and the boundary node lands on the
     ``m_angles`` columns past the interior.  ``trace_interior`` and
     ``trace_boundary`` are the one-sided d/dt weights at t = 1.
-    ``row_norm_table`` is the grid's part of :func:`_row_norm` with the
-    Fourier angle coupling, built on first use, so an operator that never
-    needs a row norm never pays for it.
     """
 
     def __init__(self, t, m_angles, axis_shift):
@@ -242,10 +248,6 @@ class RadialStencils:
         q = self.trace_interior.size
         return self.trace_interior @ u[-q:, :] + self.trace_boundary * boundary_values
 
-    @cached_property
-    def row_norm_table(self):
-        return _RowNormTable(self)
-
 
 class TubeGrid:
     """The part of a tube operator that does not depend on the profile.
@@ -254,27 +256,43 @@ class TubeGrid:
     the angle nodes ``angles``, the angle matrices ``d1a`` and ``d2a`` of
     ``angle_scheme`` and the :class:`RadialStencils` ``stencils`` with the
     reflection shift ``axis_shift`` (the axis's default unless given).
+
+    A grid of symmetry order j > 1 carries the fields that are 2 pi/j
+    periodic in the angle.  It holds only the first M/j angle nodes of the
+    M-node grid, the sector [0, 2 pi/j): the angle matrices are those of
+    M/j nodes times j and j^2 (a Fourier mode of frequency kj is mode k of
+    the sector), and the eta reflection moves by (M/2) mod (M/j) nodes,
+    half a sector for odd j.  M/j must be an even integer.  ``m_angles``
+    is then the sector's node count and ``resolution`` stays (n_t, M).
+    Order 1 is the full grid.
+
     Operators only read it, so one grid serves every operator built on it;
     its arrays and those of its stencils are read-only.
     """
 
-    def __init__(self, axis, n_t, m_angles, angle_scheme="fourier", axis_shift=None):
-        _check_grid(n_t, m_angles)
+    def __init__(self, axis, n_t, m_angles, angle_scheme="fourier", axis_shift=None,
+                 symmetry=1):
+        self.symmetry = j = int(symmetry)
+        m = _sector_nodes(int(m_angles), j)
+        _check_grid(n_t, m)
         self.axis = Axis.coerce(axis)
-        self.n_t, self.m_angles = n_t, m = int(n_t), int(m_angles)
+        self.n_t, self.m_angles = int(n_t), m
         if angle_scheme == "fourier":
             d1a, d2a = fourier_diff_matrices(m)
         elif angle_scheme == "fd2":
             d1a, d2a = periodic_fd_matrices(m)
         else:
             raise ConfigError(f"unknown angle scheme {angle_scheme!r}")
+        if j != 1:
+            # d/da is j times the derivative in the sector's own angle j a
+            d1a, d2a = j * d1a, j * j * d2a
         self.angle_scheme = angle_scheme
         # the eta-circle collapses on the axis, so eta-profiles reflect with
         # a half-period shift; axis_shift overrides for defect injection
         if axis_shift is None:
-            axis_shift = _default_axis_shift(self.axis, m)
+            axis_shift = _default_axis_shift(self.axis, m * j, m)
         self.axis_shift = int(axis_shift) % m
-        self.t, self.angles = radial_grid(self.n_t), angle_grid(m)
+        self.t, self.angles = radial_grid(self.n_t), angle_grid(m * j)[:m]
         self.d1a, self.d2a = d1a, d2a
         self.stencils = RadialStencils(self.t, m, self.axis_shift)
         for array in (self.t, self.angles, d1a, d2a, *vars(self.stencils).values()):
@@ -283,16 +301,49 @@ class TubeGrid:
 
     @property
     def resolution(self):
-        return self.n_t, self.m_angles
+        """(n_t, M): the full circle's node count, whatever the symmetry order."""
+        return self.n_t, self.m_angles * self.symmetry
+
+    @cached_property
+    def row_norm_table(self):
+        """The grid's part of :func:`_row_norm` with the Fourier angle coupling.
+
+        Built on first use, so an operator that never needs a row norm never
+        pays for it.
+        """
+        return _RowNormTable(self.stencils, self.symmetry)
+
+
+def _sector_nodes(m_angles, symmetry):
+    """Angle nodes M/j of the 2 pi/j sector of an M-node grid.
+
+    A :class:`ConfigError` naming M, j and the nearest valid M unless M/j is
+    an even integer; order 1 leaves M to the grid's own checks.
+    """
+    if symmetry < 1:
+        raise ConfigError(f"symmetry order must be >= 1, got {symmetry}")
+    step = 2 * symmetry
+    if symmetry > 1 and m_angles % step:
+        below = m_angles - m_angles % step
+        nearest = below + step if below == 0 or m_angles - below >= step / 2 else below
+        raise ConfigError(
+            f"the 2*pi/{symmetry} sector of {m_angles} angle nodes needs M/j even: "
+            f"M = {m_angles} is not a multiple of {step}; the nearest valid M is {nearest}")
+    return m_angles // symmetry
 
 
 def _fourier_grid(axis, n_t, m_angles, grid):
-    """``grid`` if it is the default Fourier grid of these sizes, a new one for None."""
+    """``grid`` if it is a default Fourier grid of these sizes, a new one for None.
+
+    A grid of any symmetry order matches when its full-circle resolution
+    is (n_t, m_angles).
+    """
     if grid is None:
         return TubeGrid(axis, n_t, m_angles)
     axis = Axis.coerce(axis)
-    want = (axis, int(n_t), int(m_angles), "fourier", _default_axis_shift(axis, int(m_angles)))
-    have = (grid.axis, grid.n_t, grid.m_angles, grid.angle_scheme, grid.axis_shift)
+    want = (axis, int(n_t), int(m_angles), "fourier",
+            _default_axis_shift(axis, int(m_angles), grid.m_angles))
+    have = (grid.axis, *grid.resolution, grid.angle_scheme, grid.axis_shift)
     if have != want:
         raise ConfigError(f"grid {have} does not match the operator's {want}")
     return grid
@@ -325,7 +376,7 @@ class _GridOperator:
         preconditioner never pays for it.  :class:`TubeOperator` has the
         matrix and overrides it.
         """
-        return _row_norm(self._stencils, *self._coeffs)
+        return _row_norm(self.grid, *self._coeffs)
 
     def derivatives(self, u, boundary_values):
         """Discrete (u_t, u_tt, u_aa, u_ta) of a field, each (n_t, M).
@@ -480,7 +531,8 @@ class StraightTubeOperator(_GridOperator):
     order (M/2 + 1) n_t, factorized by one ``dgbtrf`` when the operator is
     built; ``solve`` is one ``dgbtrs`` with the real and imaginary parts as
     two right-hand sides.  The residual applies the operator node by node,
-    not per mode.
+    not per mode.  On a grid of symmetry order j, M is the sector's node
+    count and mode k is the circle's mode kj.
     """
 
     def __init__(self, axis, lam, n_t, m_angles, grid=None):
@@ -643,16 +695,17 @@ class MatrixFreeTubeOperator(_GridOperator):
             f"GMRES residual {abs(g[cap]) / beta:.3e} above {KRYLOV_RTOL:.0e} "
             f"after {cap} iterations")
         err.details = {"residual": abs(g[cap]) / beta, "cap": KRYLOV_RTOL,
-                       "iterations": cap, "resolution": shape,
+                       "iterations": cap, "resolution": self.grid.resolution,
+                       "symmetry": self.grid.symmetry,
                        "profile": self.profile.coeffs.tolist()}
         raise err
 
 
-def _row_norm(st, gtt, gta, gaa, ct):
+def _row_norm(grid, gtt, gta, gaa, ct):
     """Largest absolute row sum of the assembled 2-D matrix, never assembled.
 
-    ``st`` is the grid's :class:`RadialStencils`, the angle coupling is
-    Fourier, and the coefficients are (n_t, K) arrays over the angle nodes,
+    ``grid`` is the :class:`TubeGrid`, its angle coupling is Fourier, and
+    the coefficients are (n_t, K) arrays over the angle nodes,
     or K = 1 for coefficients that do not depend on the angle: rotating the
     angle then permutes the entries of a row.  Row (i, k) holds, on the
     angle nodes of each radial row r its stencil reaches (a *slot*), the
@@ -666,8 +719,9 @@ def _row_norm(st, gtt, gta, gaa, ct):
     shift moves them.  Entries on one column are summed, as the assembly
     sums duplicates, and the boundary columns are left out.  The grid's
     part of this, the slots and their summed weights, is
-    ``st.row_norm_table`` (:class:`_RowNormTable`); the coefficients are
-    the operator's.
+    ``grid.row_norm_table`` (:class:`_RowNormTable`); the coefficients are
+    the operator's.  On a grid of symmetry order j, M is the sector's node
+    count and col1, col2 are the sector's columns times j and j^2.
 
     col1 vanishes at m = 0, so a slot fed by b, d alone sums to
     |b| sum|col1| + |d|, and one fed by c, e alone to |c| sum|col1| + |e|.
@@ -686,7 +740,7 @@ def _row_norm(st, gtt, gta, gaa, ct):
     moved reflected nodes, a few eta rows next to the axis, keep the O(M)
     sum of the vector above.
     """
-    tab = st.row_norm_table
+    tab, shift = grid.row_norm_table, grid.axis_shift
     gtt, gta, gaa, ct = np.broadcast_arrays(*(np.asarray(f, dtype=float)
                                               for f in (gtt, gta, gaa, ct)))
 
@@ -708,9 +762,9 @@ def _row_norm(st, gtt, gta, gaa, ct):
     i, s = tab.mixed
     a = gaa[i] * (s == tab.centre[i])[:, None]
     full = (a[..., None] * col2 + b[i, s, :, None] * col1
-            + c[i, s, :, None] * np.roll(col1, -st.axis_shift))
+            + c[i, s, :, None] * np.roll(col1, -shift))
     full[..., 0] += d[i, s]
-    full[..., -st.axis_shift % col1.size] += e[i, s]
+    full[..., -shift % col1.size] += e[i, s]
     sums[i, s] = np.abs(full).sum(axis=2)
     return float(sums.sum(axis=1).max())
 
@@ -725,10 +779,12 @@ class _RowNormTable:
     row, ``mixed`` the (rows, slots) reached both ways and ``sorted_rows``
     the rows whose centre slot is not mixed.  ``ratios`` are |col2[m]| / |col1[m]| for 0 < m < M/2 in
     ascending order; ``col1_prefix[q]`` sums |col1| over the first q of
-    that order and ``col2_suffix[q]`` sums |col2| over the rest.
+    that order and ``col2_suffix[q]`` sums |col2| over the rest.  On a grid
+    of symmetry order j, col1 and col2 are the sector's columns times j and
+    j^2, as its angle matrices are.
     """
 
-    def __init__(self, st):
+    def __init__(self, st, symmetry):
         nodes = st.nodes
         n_t, width = nodes.shape
         rows = st.rows[nodes]
@@ -752,6 +808,8 @@ class _RowNormTable:
         self.sorted_rows = np.flatnonzero(~mixed[rng, self.centre])
 
         self.col1, self.col2 = _fourier_columns(st.m_angles)
+        if symmetry != 1:
+            self.col1, self.col2 = symmetry * self.col1, symmetry * symmetry * self.col2
         half = st.m_angles // 2
         abs1, abs2 = np.abs(self.col1[1:half]), np.abs(self.col2[1:half])
         ratios = abs2 / abs1
@@ -767,5 +825,6 @@ def _scaled(r, row_norm, u, rhs):
     return float(np.max(np.abs(r)) / scale)
 
 
-def _default_axis_shift(axis, m_angles):
-    return m_angles // 2 if axis is Axis.ETA else 0
+def _default_axis_shift(axis, m_angles, nodes):
+    # half a turn of the M-node circle, on a grid of ``nodes`` angle nodes
+    return (m_angles // 2) % nodes if axis is Axis.ETA else 0

@@ -26,15 +26,20 @@ def angle_grid(m_angles):
     return 2.0 * np.pi * np.arange(m_angles) / m_angles
 
 
-def cosine_coefficients(values, max_mode=None):
+def cosine_coefficients(values, max_mode=None, symmetry=1):
     """Cosine coefficients of sampled periodic data, plus the non-even residual.
 
     Parameters
     ----------
-    values : array of shape (M,)
-        Samples on ``angle_grid(M)``.
+    values : array of shape (M/j,)
+        Samples on the first M/j nodes of ``angle_grid(M)``: the whole grid
+        for j = 1, the sector [0, 2*pi/j) of a 2*pi/j-periodic function for
+        a symmetry order j > 1.
     max_mode : int, optional
         Truncation order; defaults to M//2 - 1 so the Nyquist mode is dropped.
+    symmetry : int, optional
+        The symmetry order j.  The sector's frequency k is the frequency kj
+        of the circle, and the coefficients off the multiples of j are 0.
 
     Returns
     -------
@@ -44,15 +49,16 @@ def cosine_coefficients(values, max_mode=None):
     """
     values = np.asarray(values, dtype=float)
     m = values.size
+    full = m * symmetry
     if max_mode is None:
-        max_mode = m // 2 - 1
-    if max_mode >= m // 2:
+        max_mode = full // 2 - 1
+    if max_mode >= full // 2:
         raise DomainValidationError(
-            f"max_mode={max_mode} not resolvable with {m} samples")
+            f"max_mode={max_mode} not resolvable with {full} samples")
     freq = np.fft.rfft(values)
-    coeffs = np.empty(max_mode + 1)
+    coeffs = np.zeros(max_mode + 1)
     coeffs[0] = freq[0].real / m
-    coeffs[1:] = 2.0 * freq[1:max_mode + 1].real / m
+    coeffs[symmetry::symmetry] = 2.0 * freq[1:max_mode // symmetry + 1].real / m
     residual = float(np.max(np.abs(freq.imag))) * 2.0 / m
     return coeffs, residual
 

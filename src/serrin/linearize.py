@@ -62,6 +62,7 @@ class HarmonicExtension:
     field: np.ndarray
     t_trace: np.ndarray      # d field/dt on t = 1
     residual: float
+    symmetry: int = 1        # the grid's order j: the angles cover [0, 2 pi/j)
 
 
 def harmonic_extend(lam, w, axis=Axis.XI, resolution=DEFAULT_RESOLUTION,
@@ -73,7 +74,9 @@ def harmonic_extend(lam, w, axis=Axis.XI, resolution=DEFAULT_RESOLUTION,
     :class:`~serrin.discrete.TubeOperator`, so callers that pass one (or
     none) genuinely measure its cross-mode leakage.  A :class:`~serrin.discrete.StraightTubeOperator`
     passed as ``operator`` gives the same field from per-mode radial solves,
-    which cannot leak by construction.
+    which cannot leak by construction.  Built on a grid of symmetry order
+    j, it solves on the sector [0, 2 pi/j), which carries data whose
+    frequencies are multiples of j.
     """
     lam = float(lam)
     if not 0.0 < lam < HALF_PI:
@@ -81,13 +84,14 @@ def harmonic_extend(lam, w, axis=Axis.XI, resolution=DEFAULT_RESOLUTION,
     axis = Axis.coerce(axis)
     w = _as_series(w)
     op = operator if operator is not None else constant_operator(axis, lam, resolution)
-    bc = w.samples(op.m_angles)
+    bc = w(op.angles)
     fieldvals = op.solve(0.0, bc)
     residual = op.scaled_residual(fieldvals, 0.0, bc)
     if residual > 1e-10:
         raise NumericalError(f"harmonic extension residual {residual:.3e} too large")
     return HarmonicExtension(lam, axis, w, op.t, op.angles, fieldvals,
-                             op.t_derivative_trace(fieldvals, bc), residual)
+                             op.t_derivative_trace(fieldvals, bc), residual,
+                             op.grid.symmetry)
 
 
 @dataclass
@@ -117,7 +121,7 @@ def apply_L(lam, w, axis=Axis.XI, resolution=DEFAULT_RESOLUTION, operator=None):
     lam = ext.lam
     samples = (np.tan(lam) / (2.0 * lam)) * ext.t_trace \
         - ext.w(ext.angles) / (2.0 * np.cos(lam) ** 2)
-    coeffs, sine_res = cosine_coefficients(samples)
+    coeffs, sine_res = cosine_coefficients(samples, symmetry=ext.symmetry)
     return LApplication(lam, ext.axis, ext.w, ext.angles, samples,
                         CosineSeries(coeffs), sine_res)
 

@@ -56,7 +56,10 @@ class TorsionField:
     """Discrete torsion solution on one profile.
 
     ``u`` is the interior field on the tensor grid (t nodes x angle nodes);
-    the boundary row t = 1 is identically zero by construction.
+    the boundary row t = 1 is identically zero by construction.  On a grid
+    of symmetry order j the angle nodes, and so ``u`` and ``neumann``, cover
+    the sector [0, 2 pi/j).  ``krylov_iterations`` is the GMRES iteration
+    count of the solve, 0 for a direct one.
     """
 
     profile: BoundaryProfile
@@ -66,6 +69,7 @@ class TorsionField:
     neumann: np.ndarray
     residual: float
     meta: dict = field(default_factory=dict)
+    krylov_iterations: int = 0
 
 
 def solve_torsion(profile, resolution=(64, 64)):
@@ -98,26 +102,29 @@ def torsion_field(operator):
     straight tube, a :class:`~serrin.discrete.StraightTubeOperator`.  The
     scaled residual of the solve is recorded and must stay below 1e-10,
     else a :class:`NumericalError` is raised whose ``details`` hold the
-    residual, the cap, the resolution, the profile coefficients and, for a
-    Krylov solve, its iteration count.
+    residual, the cap, the resolution, the grid's symmetry order, the
+    profile coefficients and, for a Krylov solve, its iteration count.
     """
     u = operator.solve(-1.0, 0.0)
+    iterations = getattr(operator, "iterations", 0)
     residual = operator.scaled_residual(u, -1.0, 0.0)
     if residual > RESIDUAL_CAP:
         err = NumericalError(
             f"torsion solve residual {residual:.3e} exceeds {RESIDUAL_CAP:.0e}")
         err.details = {"residual": residual, "cap": RESIDUAL_CAP,
-                       "resolution": (operator.n_t, operator.m_angles),
+                       "resolution": operator.grid.resolution,
+                       "symmetry": operator.grid.symmetry,
                        "profile": operator.profile.coeffs.tolist()}
         if hasattr(operator, "iterations"):
-            err.details["iterations"] = operator.iterations
+            err.details["iterations"] = iterations
         raise err
     du = operator.t_derivative_trace(u, 0.0)
     h_vals = neumann_weight(operator.profile, operator.angles) * du
     return TorsionField(operator.profile, operator.t, operator.angles, u, h_vals, residual,
-                        meta={"resolution": (operator.n_t, operator.m_angles),
+                        meta={"resolution": operator.grid.resolution,
                               "half_width": HALF_WIDTH, "beta": GRADING,
-                              "angle_scheme": operator.angle_scheme})
+                              "angle_scheme": operator.angle_scheme},
+                        krylov_iterations=iterations)
 
 
 def flux_tangents(operator, fld, modes):

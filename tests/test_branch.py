@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from serrin import branch, discrete, modes
-from serrin.errors import AnalysisError, DomainValidationError, NumericalError
+from serrin.errors import AnalysisError, ConfigError, DomainValidationError, NumericalError
 from serrin.fourier import CosineSeries
 from serrin.geometry import Axis, BoundaryProfile, ModeIndex
 from serrin.branch import branch_report, check_cr_hypotheses, trace_branch
@@ -14,14 +14,31 @@ XI, ETA = Axis.XI, Axis.ETA
 
 def _fd_jacobian(mode, x, s, truncation, grid, h):
     """Central-difference Jacobian of the projected flux equations: the oracle."""
-    jac = np.empty((truncation, truncation))
-    for col in range(truncation):
-        step = np.zeros(truncation)
+    jac = np.empty((x.size, x.size))
+    for col in range(x.size):
+        step = np.zeros(x.size)
         step[col] = h
         res_p = branch._residual(mode, x + step, s, truncation, grid)[0]
         res_m = branch._residual(mode, x - step, s, truncation, grid)[0]
         jac[:, col] = (res_p - res_m) / (2.0 * h)
     return jac
+
+
+def _full_grid_points(mode, cert, s_max, n_steps, truncation):
+    """trace_branch's points solved on the full grid with every mode free: the oracle.
+
+    Returns (profile, Newton iterations, flux samples) per continued point.
+    """
+    grid = discrete.TubeGrid(mode.axis, *cert.details["resolution"])
+    x, x_prev, out = np.concatenate([[cert.lambda_j], np.zeros(truncation - 1)]), None, []
+    for k in range(1, n_steps + 1):
+        pred = x if x_prev is None else 2.0 * x - x_prev
+        x_new, fld, iters, _ = branch._newton_solve(
+            mode, pred, k * s_max / n_steps, truncation, grid, 1e-10, 12,
+            cert.details["sigmas"], cert.transversality_slope)
+        out.append((fld.profile, iters, fld.neumann))
+        x_prev, x = x, x_new
+    return out
 
 
 def _record_calls(monkeypatch, owner, name):
@@ -78,6 +95,13 @@ class TestCertificate:
         calls = _record_calls(monkeypatch, branch, "find_lambda_n")
         with pytest.raises(DomainValidationError, match="truncation 1"):
             check_cr_hypotheses(ModeIndex(XI, 2), truncation=1)
+        assert calls == []
+
+    def test_truncation_at_the_nyquist_mode_is_rejected_before_any_solve(self, monkeypatch):
+        # mode M/2 is the Nyquist mode: its discrete sigma is exactly 0
+        calls = _record_calls(monkeypatch, branch, "find_lambda_n")
+        with pytest.raises(DomainValidationError, match="Nyquist mode 16"):
+            check_cr_hypotheses(ModeIndex(XI, 2), truncation=16, resolution=(48, 32))
         assert calls == []
 
     def test_failure_carries_its_context(self):
@@ -167,15 +191,18 @@ class TestBranch:
         assert np.array_equal(run.points[0].neumann, cert_xi2.lambda_field.neumann)
 
     def test_one_grid_serves_the_whole_run(self, monkeypatch):
-        # certificate included: one stencil table and one trace table, each
-        # one fd_weights call, and no continued point builds stencils
+        # the certificate's full grid and the run's sector grid: one stencil
+        # table and one trace table each, one fd_weights call apiece, and no
+        # continued point builds stencils
         weights = _record_calls(monkeypatch, discrete, "fd_weights")
         stencils = _record_calls(monkeypatch, discrete.RadialStencils, "__init__")
         run = trace_branch(ModeIndex(XI, 2), s_max=0.005, n_steps=2,
                            resolution=(40, 32), truncation=8)
         assert len(run.points) == 3 and run.points[-1].defect < 1e-6
-        assert len(weights) == 2 and len(stencils) == 1
-        assert run.certificate.grid.stencils is stencils[0]
+        assert len(weights) == 4 and len(stencils) == 2
+        # the sector grid comes first: building it checks M/j
+        sector, full = stencils
+        assert run.certificate.grid.stencils is full and sector.m_angles == 32 // 2
 
     def test_a_certificate_on_another_grid_costs_one_grid(self, cert_xi2, monkeypatch):
         stencils = _record_calls(monkeypatch, discrete.RadialStencils, "__init__")
@@ -190,6 +217,23 @@ class TestBranch:
         trace_branch(ModeIndex(XI, 2), s_max=0.005, n_steps=1,
                      resolution=(48, 32), truncation=12, certificate=cert_xi2)
         assert modes.riccati_solution.cache_info().misses == 0
+
+    @pytest.mark.parametrize("j, m_angles", [(3, 64), (2, 30)])
+    def test_grid_without_an_even_sector_is_rejected_before_the_certificate(
+            self, monkeypatch, j, m_angles):
+        calls = _record_calls(monkeypatch, branch, "find_lambda_n")
+        with pytest.raises(ConfigError, match=f"M = {m_angles} "):
+            trace_branch(ModeIndex(ETA, j), s_max=0.01, n_steps=1,
+                         resolution=(48, m_angles), truncation=12)
+        assert calls == []
+
+    def test_points_carry_their_krylov_iterations_and_sine_residual(self, run_xi2):
+        rows = branch_report(run_xi2).rows
+        assert run_xi2.points[0].krylov_iterations == rows[0]["krylov_iterations"] == 0
+        for p, row in zip(run_xi2.points[1:], rows[1:]):
+            assert 0 < p.krylov_iterations == row["krylov_iterations"] < discrete.KRYLOV_MAX_ITER
+            assert p.sine_residual == row["sine_residual"] < 1e-12
+            assert p.neumann.shape == (32,)
 
     def test_refinement_stability_of_lambda(self, cert_xi2):
         kwargs = dict(s_max=0.01, n_steps=1, truncation=8, certificate=cert_xi2)
@@ -209,6 +253,18 @@ class TestTangentJacobian:
         free_modes = [m for m in range(1, truncation + 1) if m != 2]
         jac = branch._jacobian(op, fld, truncation, free_modes)
         oracle = _fd_jacobian(mode, x, s, truncation, grid, 1e-4)
+        assert np.max(np.abs(jac - oracle)) < 1e-5 * np.max(np.abs(jac))
+
+    @pytest.mark.parametrize("axis", [XI, ETA])
+    def test_matches_central_differences_on_the_sector(self, axis, lambda_roots):
+        # j = 3 on the 2 pi/3 sector: the unknowns are lambda, b_6 and b_9
+        mode, truncation = ModeIndex(axis, 3), 10
+        grid = discrete.TubeGrid(axis, 48, 36, symmetry=3)
+        x = np.array([lambda_roots[(axis, 3)].lambda_n + 0.01, 0.001, -0.0005])
+        _, fld, op = branch._residual(mode, x, 0.01, truncation, grid)
+        jac = branch._jacobian(op, fld, truncation, [6, 9])
+        oracle = _fd_jacobian(mode, x, 0.01, truncation, grid, 1e-4)
+        assert jac.shape == (3, 3)
         assert np.max(np.abs(jac - oracle)) < 1e-5 * np.max(np.abs(jac))
 
 
@@ -231,6 +287,43 @@ class TestChordNewton:
             assert a.s == b.s
             assert abs(a.lam - b.lam) < 1e-9
             assert np.max(np.abs(a.profile.coeffs - b.profile.coeffs)) < 1e-9
+
+    @pytest.mark.parametrize("axis", [XI, ETA])
+    @pytest.mark.parametrize("j, resolution", [(2, (64, 64)), (3, (64, 66))])
+    def test_sector_solve_matches_the_full_grid(self, axis, j, resolution):
+        # the criterion-8 path against the full-grid oracle, which keeps
+        # every mode: the eta points differ by a lambda offset of about
+        # 1e-11, the roundoff of the two grids' D2 mean-mode eigenvalues
+        # amplified by g^aa at the axis
+        mode, truncation = ModeIndex(axis, j), 16
+        cert = check_cr_hypotheses(mode, truncation=truncation, resolution=resolution)
+        run = trace_branch(mode, s_max=0.02, n_steps=10, resolution=resolution,
+                           truncation=truncation, certificate=cert)
+        full = _full_grid_points(mode, cert, 0.02, 10, truncation)
+        assert run.termination == "completed" and len(run.points) == 11
+        off = np.arange(truncation + 1) % j != 0
+        for point, (profile, iters, neumann) in zip(run.points[1:], full):
+            assert abs(point.lam - profile.coeffs[0]) <= 1e-10
+            assert np.max(np.abs(point.profile.coeffs - profile.coeffs)) <= 1e-10
+            assert point.newton_iters == iters
+            assert np.max(np.abs(profile.coeffs[off])) <= 1e-13
+            assert np.max(np.abs(point.neumann - neumann)) <= 1e-8 * np.max(np.abs(neumann))
+
+    def test_tangent_jacobian_solves_one_direction_per_sector_unknown(self, monkeypatch):
+        # truncation 16, j = 2: lambda and b_4 .. b_16, 8 directions, not 16
+        original = branch.flux_tangents
+        directions = []
+
+        def record(op, fld, modes):
+            directions.append(list(modes))
+            return original(op, fld, modes)
+
+        monkeypatch.setattr(branch, "flux_tangents", record)
+        monkeypatch.setattr(branch, "CHORD_CONTRACTION", 0.0)
+        run = trace_branch(ModeIndex(XI, 2), s_max=0.005, n_steps=1,
+                           resolution=(40, 36), truncation=16)
+        assert run.points[-1].tangent_jacobians == 1 and run.points[-1].defect < 1e-6
+        assert directions == [[0, 4, 6, 8, 10, 12, 14, 16]]
 
     # the certificate's own grid and truncation, a deeper truncation and
     # another grid: the last two compute the eigenvalues on the run's grid
@@ -260,11 +353,16 @@ class TestChordNewton:
 
     def test_chord_jacobian_is_mode_diagonal(self, cert_xi2):
         sigmas = cert_xi2.details["sigmas"]
-        jac = branch._chord_jacobian(ModeIndex(XI, 2), 0.01, sigmas, 2.0, [1, 3, 4])
+        jac = branch._chord_jacobian(ModeIndex(XI, 2), 0.01, sigmas, 2.0, [1, 2, 3, 4])
         assert np.array_equal(jac, [[0.0, sigmas[1], 0.0, 0.0],
                                     [0.02, 0.0, 0.0, 0.0],
                                     [0.0, 0.0, sigmas[3], 0.0],
                                     [0.0, 0.0, 0.0, sigmas[4]]])
+        # the equations of the sector: the multiples of j only
+        jac = branch._chord_jacobian(ModeIndex(XI, 2), 0.01, sigmas, 2.0, [2, 4, 6])
+        assert np.array_equal(jac, [[0.02, 0.0, 0.0],
+                                    [0.0, sigmas[4], 0.0],
+                                    [0.0, 0.0, sigmas[6]]])
 
     @pytest.mark.parametrize("axis, reach", [(XI, 0.35), (ETA, 0.25)])
     def test_reach_is_kept(self, axis, reach):
@@ -314,6 +412,8 @@ class TestFailurePaths:
         assert "contraction" not in details
         first, second = details["residuals"]
         assert second <= branch.CHORD_CONTRACTION * first
+        # one GMRES count per accepted iterate, as for the residuals
+        assert len(details["krylov_iterations"]) == 2 and min(details["krylov_iterations"]) > 0
 
     def test_band_exit_during_retry_ends_the_run(self, cert_xi2, monkeypatch):
         attempts = []

@@ -185,14 +185,14 @@ class TestBranch:
 
     def test_failed_certificate_prints_its_details(self, tmp_path, capsys):
         # at this coarse grid the discrete sigma_3 misses the kernel tolerance
-        assert run(["branch", "--axis", "eta", "--mode", "3", "--resolution", "48x32",
+        assert run(["branch", "--axis", "eta", "--mode", "3", "--resolution", "48x30",
                     "--truncation", "12", "--steps", "2", "--smax", "0.01",
                     "--out", str(tmp_path)]) == 1
         captured = capsys.readouterr()
         message, details = captured.err.splitlines()
         assert message.startswith("check failure: hypothesis (ii) kernel")
         details = json.loads(details)
-        assert details["resolution"] == [48, 32] and details["truncation"] == 12
+        assert details["resolution"] == [48, 30] and details["truncation"] == 12
         assert len(details["sigmas"]) == 12 + 1
         assert abs(details["lambda_j"] - 1.358006174) < 1e-8
 
@@ -202,6 +202,22 @@ class TestTruncation:
         out = tmp_path / "out"
         assert run(["branch", "--mode", "2", "--truncation", "1",
                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_branch_truncation_at_the_nyquist_mode_is_config_error(self, tmp_path, capsys):
+        # mode 16 is the Nyquist mode of 32 angle nodes: its discrete sigma is 0
+        out = tmp_path / "out"
+        assert run(["branch", "--resolution", "48x32", "--out", str(out)]) == 2
+        assert "truncation 16 reaches the Nyquist mode 16" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, resolution, nearest", [("3", "64x64", 66), ("2", "64x30", 32)])
+    def test_branch_grid_without_an_even_sector_is_config_error(
+            self, tmp_path, capsys, mode, resolution, nearest):
+        out = tmp_path / "out"
+        assert run(["branch", "--mode", mode, "--resolution", resolution,
+                    "--truncation", "12", "--out", str(out)]) == 2
+        assert f"the nearest valid M is {nearest}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_linearization_truncation_is_config_error(self, tmp_path):

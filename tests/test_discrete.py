@@ -103,7 +103,7 @@ class TestRowNorm:
 
     @pytest.mark.parametrize("axis", [Axis.XI, Axis.ETA])
     def test_only_eta_rows_by_the_axis_keep_the_full_sum(self, axis):
-        table = TubeGrid(axis, 48, 32).stencils.row_norm_table
+        table = TubeGrid(axis, 48, 32).row_norm_table
         rows, _ = table.mixed
         if axis is Axis.XI:
             assert rows.size == 0 and not table.moved_w1.any()
@@ -149,3 +149,68 @@ class TestSharedGrid:
             StraightTubeOperator(Axis.XI, 0.8, 40, 32, grid=grid)
         with pytest.raises(ConfigError, match="does not match"):
             MatrixFreeTubeOperator(BoundaryProfile.constant(Axis.XI, 0.8), 40, 32, grid=grid)
+
+
+# profiles whose modes are multiples of the symmetry order, j = 2 and j = 3
+SECTOR_PROFILES = {2: [0.8, 0.0, 0.05, 0.0, 0.01], 3: [0.7, 0.0, 0.0, 0.08]}
+
+
+class TestSectorGrid:
+    """A grid of symmetry order j against the full grid on j-periodic fields."""
+
+    @staticmethod
+    def _periodic(j, n_t, m):
+        # a j-periodic field with even and odd parts, and its boundary data
+        a = 2.0 * np.pi * np.arange(m) / m
+        t = radial_grid(n_t)[:, None]
+        u = np.sin(3.0 * t) * (1.0 + 0.3 * np.cos(j * a) + 0.2 * np.sin(2 * j * a))
+        return u, 0.5 + np.cos(j * a) - 0.1 * np.sin(j * a)
+
+    @pytest.mark.parametrize("j, m", [(2, 32), (3, 36)])
+    @pytest.mark.parametrize("axis", [Axis.XI, Axis.ETA])
+    def test_sector_operators_match_the_full_grid(self, axis, j, m):
+        n_t = 40
+        sector = TubeGrid(axis, n_t, m, symmetry=j)
+        assert sector.m_angles == m // j and sector.resolution == (n_t, m)
+        assert np.array_equal(sector.angles, TubeGrid(axis, n_t, m).angles[:m // j])
+        u, bc = self._periodic(j, n_t, m)
+        k = m // j
+        prof = BoundaryProfile(axis, SECTOR_PROFILES[j])
+        full_op = MatrixFreeTubeOperator(prof, n_t, m)
+        sector_op = MatrixFreeTubeOperator(prof, n_t, m, grid=sector)
+        want = full_op.apply(u, bc)
+        got = sector_op.apply(u[:, :k], bc[:k])
+        assert np.max(np.abs(got - want[:, :k])) <= 1e-12 * np.max(np.abs(want))
+        rhs = np.cos(2.0 * radial_grid(n_t))[:, None] * (1.0 + np.cos(j * sector.angles))
+        full = StraightTubeOperator(axis, 0.8, n_t, m).solve(np.tile(rhs, j), bc)
+        part = StraightTubeOperator(axis, 0.8, n_t, m, grid=sector).solve(rhs, bc[:k])
+        # the mean-mode eigenvalue of each grid's D2 is 0 only to roundoff
+        # (about 1e-12 here), and on the eta axis g^aa = 1/sin^2(t phi)
+        # amplifies the difference: measured 4e-13 (xi) and 4e-12 (eta)
+        tol = 2e-12 if axis is Axis.XI else 1e-10
+        assert np.max(np.abs(part - full[:, :k])) <= tol * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("j, m", [(2, 24), (3, 24), (3, 30)])
+    @pytest.mark.parametrize("axis", [Axis.XI, Axis.ETA])
+    def test_row_norm_is_the_matrix_row_sum(self, axis, j, m):
+        # the sector matrix, column by column from the node-by-node operator
+        grid = TubeGrid(axis, 10, m, symmetry=j)
+        ops = [MatrixFreeTubeOperator(BoundaryProfile(axis, SECTOR_PROFILES[j]), 10, m,
+                                      grid=grid),
+               StraightTubeOperator(axis, 0.8, 10, m, grid=grid)]
+        for op in ops:
+            eye = np.eye(op.n_t * op.m_angles)
+            matrix = np.column_stack([op.apply(e.reshape(op.n_t, op.m_angles), 0.0).ravel()
+                                      for e in eye])
+            want = np.abs(matrix).sum(axis=1).max()
+            assert abs(op.row_norm - want) <= 1e-12 * want, type(op).__name__
+
+    @pytest.mark.parametrize("axis, j, shift", [(Axis.XI, 3, 0), (Axis.ETA, 2, 0),
+                                                (Axis.ETA, 3, 6)])
+    def test_eta_reflection_moves_half_a_sector_for_odd_j(self, axis, j, shift):
+        assert TubeGrid(axis, 16, 36, symmetry=j).axis_shift == shift
+
+    @pytest.mark.parametrize("m, j, nearest", [(64, 3, 66), (30, 2, 32), (34, 4, 32)])
+    def test_grid_without_an_even_sector_is_rejected(self, m, j, nearest):
+        with pytest.raises(ConfigError, match=f"M = {m} .* nearest valid M is {nearest}"):
+            TubeGrid(Axis.XI, 16, m, symmetry=j)
