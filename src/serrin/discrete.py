@@ -32,9 +32,14 @@ irfft, with the stencils of :class:`RadialStencils` that the 2-D
 one block-diagonal band, so one LAPACK ``dgbtrf`` factorizes them all and
 one ``dgbtrs`` solves them all.
 
-The oracle's sparse LU orders its columns by minimum degree on A^T + A
-(George and Liu, SIAM Review 31, 1989): each radial row carries a dense
-angular block, which SuperLU's default column ordering fills badly.
+The assembled oracle is block-banded: a radial row reaches 3 rows outward
+(5 for the one-sided stencils next to t = 1), and each carries a dense
+M x M angle block.  So it is factorized as one band by LAPACK's ``dgbtrf``
+(Gaussian elimination with partial pivoting, Golub and Van Loan, *Matrix
+Computations*, section 4.3), with the unknowns numbered in reverse so that
+the pivoting fill runs over the narrow side: at 256x48 the band is 529 rows
+of 12288 columns.  :class:`_BandLU` holds the LAPACK layout and its failure
+path for both banded operators.
 
 Who owns the grid: a :class:`TubeGrid` holds everything that depends on
 the axis and the grid but not on the profile (the radial and angle nodes,
@@ -65,17 +70,18 @@ Which operator serves which caller:
   with the straight tube of the profile's mean radius.
 - :class:`StraightTubeOperator` serves the bifurcation certificate, the
   s = 0 branch point, and the preconditioner above.
-- :class:`TubeOperator`, the sparse 2-D assembly with its LU, is the
-  oracle: ``linearize.constant_operator`` (the cross-mode leakage check
-  and ``serrin verify``'s axis-condition injection), the ``fd2`` angle
-  reference and the tests that compare the other two with it.
+- :class:`TubeOperator`, the sparse 2-D assembly with its band LU, both
+  built on first use, is the oracle: ``linearize.constant_operator`` (the
+  criterion-2 leakage check and ``serrin verify``'s eigen-identity and
+  axis-condition checks), the ``fd2`` angle reference and the tests that
+  compare the other two with it.  Its residual and row norm read the
+  assembled matrix, so its own check does not rest on its factors.
 """
 
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack, solve_triangular
 
 from .errors import ConfigError, NumericalError
@@ -412,28 +418,48 @@ class _GridOperator:
 
 
 class TubeOperator(_GridOperator):
-    """Assembled Laplace-Beltrami operator of one profile on one grid.
+    """Assembled Laplace-Beltrami operator of one profile on one grid: the oracle.
 
     Rows are the interior collocation equations; columns referencing the
     Dirichlet boundary t = 1 are split off into ``boundary_matrix`` so that
-    any boundary data can be applied at solve time.  The factorization is
-    kept for reuse across right-hand sides.
+    any boundary data can be applied at solve time.  The constructor
+    validates the grid and computes the coefficients; the sparse ``matrix``
+    and ``boundary_matrix`` are assembled on first use (the first solve or
+    the first read of either), so a caller that rebinds one name to the
+    operator of the next radius frees the previous factors before the next
+    assembly starts.
+
+    ``lu`` factorizes ``matrix`` on first use, one :class:`_BandLU` with
+    the unknowns numbered in reverse (see the module notes), and keeps it
+    for every later right-hand side.  The residual and ``row_norm`` read
+    the assembled matrix, not the factors.
     """
 
     def __init__(self, profile, n_t, m_angles, angle_scheme="fourier", axis_shift=None):
         self.profile = profile
         self._use_grid(TubeGrid(profile.axis, n_t, m_angles, angle_scheme, axis_shift))
-        self._assemble()
+        gtt, gta, gaa, _, ct = laplacian_coefficients(profile, self.t, self.angles)
+        self._coeffs = tuple(np.broadcast_to(f, (self.n_t, self.m_angles)).copy()
+                             for f in (gtt, gta, gaa, ct))
         self._lu = None
 
+    @property
+    def matrix(self):
+        """The interior columns as a CSC matrix, assembled on first use."""
+        return self._assembly[0]
+
+    @property
+    def boundary_matrix(self):
+        """The t = 1 columns as a CSC matrix, assembled on first use."""
+        return self._assembly[1]
+
     # -- assembly -------------------------------------------------------
-    def _assemble(self):
+    @cached_property
+    def _assembly(self):
         n_t, m = self.n_t, self.m_angles
         n = n_t * m
         d1a, d2a = self._d1a, self._d2a
-        gtt, gta, gaa, _, ct = laplacian_coefficients(self.profile, self.t, self.angles)
-        gtt, gta, gaa, ct = self._coeffs = tuple(
-            np.broadcast_to(f, (n_t, m)).copy() for f in (gtt, gta, gaa, ct))
+        gtt, gta, gaa, ct = self._coeffs
         has_cross = bool(np.any(gta))
 
         st = self._stencils
@@ -470,19 +496,30 @@ class TubeOperator(_GridOperator):
         del data, rows, cols        # before the boundary split below copies
         # views of the first n columns, which a full[:, :n] slice would copy
         nnz = full.indptr[n]
-        self.matrix = sparse.csc_matrix(
+        matrix = sparse.csc_matrix(
             (full.data[:nnz], full.indices[:nnz], full.indptr[:n + 1]), shape=(n, n))
-        self.boundary_matrix = full[:, n:]
+        return matrix, full[:, n:]
 
     # -- solving ---------------------------------------------------------
     @property
     def lu(self):
+        """The :class:`_BandLU` of ``matrix`` in reversed numbering, on first use."""
         if self._lu is None:
-            try:
-                self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:
-                raise NumericalError(f"sparse factorization failed: {exc}") from exc
+            n, m = self.n_t * self.m_angles, self.m_angles
+
+            def locate(column):
+                row, node = divmod(n - 1 - column, m)
+                return {"radial_row": row, "angle_node": node}
+
+            self._lu = _BandLU(*_reversed_band(self.matrix), locate, {
+                "resolution": self.grid.resolution, "symmetry": self.grid.symmetry,
+                "axis": self.grid.axis.value, "angle_scheme": self.angle_scheme,
+                "profile": self.profile.coeffs.tolist()})
         return self._lu
+
+    def _solve_flat(self, b):
+        # the factors number the unknowns in reverse, so b and x are reversed
+        return self.lu.solve(np.array(b[::-1], order="F"))[::-1]
 
     def solve(self, rhs, boundary_values):
         """Solve A u = rhs with Dirichlet data on t = 1.
@@ -493,7 +530,7 @@ class TubeOperator(_GridOperator):
         """
         rhs = _as_grid(rhs, (self.n_t, self.m_angles))
         bc = _as_grid(boundary_values, (self.m_angles,))
-        u = self.lu.solve(rhs.ravel() - self.boundary_matrix @ bc)
+        u = self._solve_flat(rhs.ravel() - self.boundary_matrix @ bc)
         if not np.all(np.isfinite(u)):
             raise NumericalError("linear solve produced non-finite values")
         return u.reshape(self.n_t, self.m_angles)
@@ -516,7 +553,58 @@ class TubeOperator(_GridOperator):
         ``rhs`` is an (n_t * M, k) array of flattened interior right-hand
         sides; all columns share the factorization in one back-solve.
         """
-        return self.lu.solve(rhs)
+        return self._solve_flat(rhs)
+
+
+def _reversed_band(a):
+    """(band, kl, ku) of the square CSC matrix ``a`` with its unknowns reversed.
+
+    Unknown p becomes n - 1 - p, so entry (r, c) of ``a`` is entry
+    (n - 1 - r, n - 1 - c) of the band, laid out as :class:`_BandLU` takes it.
+    """
+    n = a.shape[0]
+    rows = (n - 1) - a.indices
+    cols = (n - 1) - np.repeat(np.arange(n, dtype=np.int32), np.diff(a.indptr))
+    offset = rows - cols
+    kl, ku = int(offset.max()), int(-offset.min())
+    band = np.zeros((2 * kl + ku + 1, n), order="F")
+    band[kl + ku + offset, cols] = a.data
+    return band, kl, ku
+
+
+class _BandLU:
+    """LU factors of one banded matrix: one LAPACK ``dgbtrf``, ``dgbtrs`` per solve.
+
+    ``band`` holds the matrix in the layout ``dgbtrf`` takes, entry (r, c)
+    at ``band[kl + ku + r - c, c]`` with the top ``kl`` rows free for the
+    fill of partial pivoting (Golub and Van Loan, *Matrix Computations*,
+    section 4.3), as a Fortran-ordered array that is factorized in place.
+    ``piv`` are the 0-based row interchanges and ``nnz`` the stored entries.
+    A zero pivot raises :class:`NumericalError` whose ``details`` hold
+    ``info``, what ``locate`` makes of the pivot's 0-based column and
+    ``context``.
+    """
+
+    def __init__(self, band, kl, ku, locate, context):
+        self.kl, self.ku = kl, ku
+        self.band, self.piv, info = lapack.dgbtrf(band, kl, ku, overwrite_ab=1)
+        if info != 0:
+            # info > 0: U(info, info) is exactly zero; info < 0: a bad argument
+            where = locate(info - 1) if info > 0 else {}
+            text = ", ".join(f"{key.replace('_', ' ')} {value}" for key, value in where.items())
+            err = NumericalError(f"band LU factorization failed (info {info}"
+                                 + (f": zero pivot at {text})" if text else ")"))
+            err.details = {"info": int(info), **where, **context}
+            raise err
+
+    @property
+    def nnz(self):
+        return self.band.size
+
+    def solve(self, b):
+        """The solution for the columns of ``b``, which it may overwrite."""
+        x, _ = lapack.dgbtrs(self.band, self.kl, self.ku, b, self.piv, overwrite_b=1)
+        return x
 
 
 class StraightTubeOperator(_GridOperator):
@@ -528,11 +616,12 @@ class StraightTubeOperator(_GridOperator):
     coefficients depend on t only, so the operator is diagonal in the angle
     modes k = 0..M/2: each is one banded n_t x n_t radial system, built from
     the same stencils.  The M/2 + 1 systems form one block-diagonal band of
-    order (M/2 + 1) n_t, factorized by one ``dgbtrf`` when the operator is
-    built; ``solve`` is one ``dgbtrs`` with the real and imaginary parts as
-    two right-hand sides.  The residual applies the operator node by node,
-    not per mode.  On a grid of symmetry order j, M is the sector's node
-    count and mode k is the circle's mode kj.
+    order (M/2 + 1) n_t, factorized by one :class:`_BandLU` when the operator
+    is built; ``solve`` is one ``dgbtrs`` with the real and imaginary parts
+    as two right-hand sides.  The residual applies the operator node by
+    node, not per mode.  On a grid of symmetry order j, M is the sector's
+    node count and mode k is the circle's mode kj, the mode that the
+    details of a zero pivot name.
     """
 
     def __init__(self, axis, lam, n_t, m_angles, grid=None):
@@ -555,8 +644,8 @@ class StraightTubeOperator(_GridOperator):
         col = st.rows[nodes]
         interior = col < n_t
         self._boundary_coef = np.where(interior, 0.0, coef).sum(axis=1)
-        self._kl = kl = int(np.max((row - col)[interior]))
-        self._ku = ku = int(np.max((col - row)[interior]))
+        kl = int(np.max((row - col)[interior]))
+        ku = int(np.max((col - row)[interior]))
         band = (kl + ku + row - col)[interior], col[interior]
         reflected = st.reflected[nodes][interior]
         direct = np.zeros((2 * kl + ku + 1, n_t))
@@ -575,10 +664,15 @@ class StraightTubeOperator(_GridOperator):
         bands = stacked.transpose(0, 2, 1)
         bands[...] = direct + sign[:, None, None] * mirrored
         bands[:, kl + ku] += eigen[:, None] * gaa
-        self._band, self._piv, info = lapack.dgbtrf(
-            stacked.reshape(k.size * n_t, -1).T, kl, ku, overwrite_ab=1)
-        if info != 0:
-            raise NumericalError(f"radial block factorization failed (info {info})")
+        j = self.grid.symmetry
+
+        def locate(column):
+            mode, row = divmod(column, n_t)
+            return {"mode": mode * j, "radial_row": row}
+
+        self._lu = _BandLU(stacked.reshape(k.size * n_t, -1).T, kl, ku, locate, {
+            "resolution": self.grid.resolution, "symmetry": j,
+            "axis": self.grid.axis.value, "profile": self.profile.coeffs.tolist()})
 
     def solve(self, rhs, boundary_values):
         """Solve A u = rhs with Dirichlet data on t = 1, as TubeOperator.solve."""
@@ -588,9 +682,7 @@ class StraightTubeOperator(_GridOperator):
         # the real and imaginary parts of every mode are two right-hand sides
         x = np.empty((2, b.shape[1], self.n_t))
         x[0], x[1] = b.real.T, b.imag.T
-        x, _ = lapack.dgbtrs(self._band, self._kl, self._ku,
-                             x.reshape(2, -1).T, self._piv, overwrite_b=1)
-        x = x.T.reshape(2, b.shape[1], self.n_t)
+        x = self._lu.solve(x.reshape(2, -1).T).T.reshape(2, b.shape[1], self.n_t)
         u = np.fft.irfft((x[0] + 1j * x[1]).T, n=self.m_angles, axis=1)
         if not np.all(np.isfinite(u)):
             raise NumericalError("linear solve produced non-finite values")

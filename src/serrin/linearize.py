@@ -43,7 +43,9 @@ def constant_operator(axis, lam, resolution=DEFAULT_RESOLUTION, axis_shift=None)
 
     The caller owns it: one factorization serves every boundary datum at
     the same radius when the operator is passed as ``operator=`` to
-    :func:`apply_L` or :func:`harmonic_extend`.
+    :func:`apply_L` or :func:`harmonic_extend`.  The matrix and its
+    factors are built at the first solve, so a caller that rebinds one name
+    to the next radius's operator holds one factorization at a time.
     """
     n_t, m = parse_resolution(resolution)
     return TubeOperator(BoundaryProfile.constant(axis, lam), n_t, m,

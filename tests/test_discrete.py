@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from serrin import discrete
 from serrin.discrete import (HALF_WIDTH, MatrixFreeTubeOperator, RadialStencils,
                              StraightTubeOperator, TubeGrid, TubeOperator, fd_weights,
                              radial_grid)
-from serrin.errors import ConfigError
+from serrin.errors import ConfigError, NumericalError
 from serrin.geometry import Axis, BoundaryProfile
+from serrin.linearize import constant_operator
 
 GRIDS = [(8, 4), (64, 64), (256, 48)]
 
@@ -214,3 +218,93 @@ class TestSectorGrid:
     def test_grid_without_an_even_sector_is_rejected(self, m, j, nearest):
         with pytest.raises(ConfigError, match=f"M = {m} .* nearest valid M is {nearest}"):
             TubeGrid(Axis.XI, 16, m, symmetry=j)
+
+
+# (axis, profile, resolution, angle scheme, injected axis shift): each size,
+# both axes, straight and perturbed (cross terms), both schemes, and the
+# shift of serrin verify's axis-condition injection
+ORACLE_CASES = [
+    (Axis.XI, [0.8], (256, 48), "fourier", None),
+    (Axis.ETA, [1.0], (256, 48), "fourier", None),
+    (Axis.XI, [0.9, 0.03, 0.05, 0.0, 0.01], (64, 64), "fourier", None),
+    (Axis.ETA, [0.8, 0.0, 0.05, 0.0, 0.01], (64, 64), "fourier", None),
+    (Axis.XI, [0.7, 0.0, 0.2], (48, 32), "fd2", None),
+    (Axis.ETA, [0.8], (48, 32), "fd2", None),
+    (Axis.XI, [0.8], (40, 32), "fourier", 16),
+    (Axis.ETA, [0.7, 0.02, 0.0, 0.08], (40, 32), "fourier", 0),
+    (Axis.ETA, [0.9, 0.03, 0.05], (48, 16), "fd2", 0),
+    (Axis.XI, [0.8, 0.0, 0.05, 0.0, 0.01], (48, 16), "fourier", None),
+]
+
+
+class TestAssembledOracle:
+    """The assembled operator's band LU against SuperLU of the same matrix."""
+
+    @pytest.mark.parametrize("axis, coeffs, resolution, scheme, shift", ORACLE_CASES)
+    def test_band_lu_matches_superlu(self, axis, coeffs, resolution, scheme, shift):
+        n_t, m = resolution
+        op = TubeOperator(BoundaryProfile(axis, coeffs), n_t, m, scheme, shift)
+        rng = np.random.default_rng(n_t * m)
+        rhs, bc = rng.standard_normal((n_t, m)), rng.standard_normal(m)
+        columns = rng.standard_normal((n_t * m, 3))
+        # the sparse LU the band LU replaced, with its column ordering: the
+        # 256x48 xi matrix has condition about 1e10, and SuperLU's default
+        # ordering differs from this one by 5e-11 on it
+        reference = spla.splu(op.matrix, permc_spec="MMD_AT_PLUS_A")
+        want = reference.solve(rhs.ravel() - op.boundary_matrix @ bc).reshape(n_t, m)
+        got = op.solve(rhs, bc)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        want = reference.solve(columns)
+        got = op.solve_interior(columns)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_assembly_waits_for_first_use(self):
+        op = TubeOperator(BoundaryProfile(Axis.ETA, [0.8, 0.0, 0.05]), 40, 32)
+        assert "_assembly" not in vars(op) and op._lu is None
+        assert op.matrix.nnz > 0 and "_assembly" in vars(op) and op._lu is None
+        op.solve(-1.0, 0.0)
+        assert op.lu.nnz == op.lu.band.size
+
+    def test_next_operator_allocates_no_second_band(self):
+        # criterion 2 rebinds one name to the next radius's operator, so the
+        # next one must not assemble while the factored one is alive
+        op = constant_operator(Axis.XI, 0.8)
+        op.solve(0.0, 1.0)
+        tracemalloc.start()
+        try:
+            nxt = constant_operator(Axis.XI, 0.9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert nxt._lu is None and peak < 2e6
+
+    @staticmethod
+    def _zero_pivot_at(monkeypatch, info):
+        dgbtrf = discrete.lapack.dgbtrf
+
+        def failing(*args, **kwargs):
+            band, piv, _ = dgbtrf(*args, **kwargs)
+            return band, piv, info
+        monkeypatch.setattr(discrete.lapack, "dgbtrf", failing)
+
+    def test_zero_pivot_of_the_oracle_names_its_node(self, monkeypatch):
+        op = TubeOperator(BoundaryProfile(Axis.ETA, [0.8, 0.05]), 40, 32, "fd2")
+        self._zero_pivot_at(monkeypatch, 5)
+        with pytest.raises(NumericalError, match="radial row 39, angle node 27") as err:
+            op.solve(-1.0, 0.0)
+        # the factors number the unknowns in reverse: column 4 is the fifth
+        # unknown from the end
+        assert err.value.details == {
+            "info": 5, "radial_row": 39, "angle_node": 27, "resolution": (40, 32),
+            "symmetry": 1, "axis": "eta", "angle_scheme": "fd2", "profile": [0.8, 0.05]}
+
+    def test_zero_pivot_of_the_straight_tube_names_its_mode(self, monkeypatch):
+        grid = TubeGrid(Axis.XI, 40, 32, symmetry=2)
+        self._zero_pivot_at(monkeypatch, 40 + 3)
+        with pytest.raises(NumericalError, match="mode 2, radial row 2") as err:
+            StraightTubeOperator(Axis.XI, 0.8, 40, 32, grid=grid)
+        # the sector's mode 1 is the circle's mode 2
+        assert err.value.details == {
+            "info": 43, "mode": 2, "radial_row": 2, "resolution": (40, 32),
+            "symmetry": 2, "axis": "xi", "profile": [0.8]}

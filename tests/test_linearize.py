@@ -101,7 +101,7 @@ class TestStraightTubeOperator:
     def test_no_pivot_leaves_its_mode_block(self, axis, lam, n_t, m):
         # the modes share one block-diagonal band, which is only their
         # direct sum if partial pivoting keeps every row in its block
-        piv = StraightTubeOperator(axis, lam, n_t, m)._piv
+        piv = StraightTubeOperator(axis, lam, n_t, m)._lu.piv
         assert piv.size == (m // 2 + 1) * n_t
         assert np.array_equal(piv // n_t, np.arange(piv.size) // n_t)
 
