@@ -77,20 +77,19 @@ class CRCertificate:
     passed: bool
     details: dict = field(default_factory=dict)
     # torsion field of the straight tube lambda_j at details["resolution"],
-    # the s = 0 point of a branch traced at that resolution, and the full
-    # grid its operators were built on
+    # the s = 0 point of a branch traced at that resolution
     lambda_field: TorsionField = field(default=None, repr=False, compare=False)
-    grid: TubeGrid = field(default=None, repr=False, compare=False)
 
 
-def _discrete_sigmas(mode, lam, modes, operator):
-    """sigma_m(lam) for m in ``modes`` on the operator's grid, NaN at the other m.
+def _discrete_sigmas(operator, modes):
+    """sigma_m for m in ``modes`` at a straight-tube operator's radius, NaN at the other m.
 
     On a grid of symmetry order j, ``modes`` must be multiples of j.
     """
+    lam, axis = operator.profile.coeffs[0], operator.grid.axis
     out = np.full(max(modes) + 1, np.nan)
     for m in modes:
-        la = apply_L(lam, CosineSeries.basis(m), axis=mode.axis, operator=operator)
+        la = apply_L(lam, CosineSeries.basis(m), axis=axis, operator=operator)
         out[m] = la.series.coefficient(m)
     return out
 
@@ -143,21 +142,18 @@ def check_cr_hypotheses(mode, truncation=16, resolution=(64, 64),
         return err
 
     grid = TubeGrid(mode.axis, n_t, m_angles)
-
-    def straight(lam):
-        return StraightTubeOperator(mode.axis, lam, n_t, m_angles, grid=grid)
-
     trivial = 0.0
     for factor in (0.95, 1.05):
-        trivial = max(trivial, serrin_defect(torsion_field(straight(factor * lam_j))))
+        trivial = max(trivial, serrin_defect(torsion_field(
+            StraightTubeOperator(grid, factor * lam_j))))
     # one operator at lambda_j serves the trivial-branch solve and the sigmas
-    op_j = straight(lam_j)
+    op_j = StraightTubeOperator(grid, lam_j)
     fld_j = torsion_field(op_j)
     trivial = details["trivial_defect"] = max(trivial, serrin_defect(fld_j))
     if trivial > 1e-10:
         raise failure(f"hypothesis (i) trivial branch: straight-tube defect {trivial:.3e}")
 
-    sig = _discrete_sigmas(mode, lam_j, range(truncation + 1), op_j)
+    sig = _discrete_sigmas(op_j, range(truncation + 1))
     details["sigmas"] = sig.tolist()
     below = np.flatnonzero(np.abs(sig) < kernel_tol)
     if below.size != 1 or below[0] != mode.n:
@@ -169,7 +165,7 @@ def check_cr_hypotheses(mode, truncation=16, resolution=(64, 64),
     if gap <= gap_floor:
         raise failure(f"hypothesis (iii) range: spectral gap {gap:.3e} <= {gap_floor:.0e}")
 
-    plus, minus = (_discrete_sigmas(mode, lam, [mode.n], straight(lam))[mode.n]
+    plus, minus = (_discrete_sigmas(StraightTubeOperator(grid, lam), [mode.n])[mode.n]
                    for lam in (lam_j + fd_step, lam_j - fd_step))
     slope = (plus - minus) / (2.0 * fd_step)
     closed = sigma_prime_closed_form(root)
@@ -183,7 +179,7 @@ def check_cr_hypotheses(mode, truncation=16, resolution=(64, 64),
                          details={"sigmas": details["sigmas"],
                                   "resolution": details["resolution"],
                                   "truncation": truncation},
-                         lambda_field=fld_j, grid=grid)
+                         lambda_field=fld_j)
 
 
 @dataclass
@@ -251,7 +247,7 @@ def _project(values, truncation, grid):
 def _residual(mode, x, s, truncation, grid):
     """Projected flux equations at state x, their field and matrix-free operator."""
     profile = _profile_from_state(mode, x, s, truncation, grid)
-    operator = MatrixFreeTubeOperator(profile, *grid.resolution, grid=grid)
+    operator = MatrixFreeTubeOperator(grid, profile)
     fld = torsion_field(operator)
     return _project(fld.neumann, truncation, grid), fld, operator
 
@@ -313,11 +309,10 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
     modes = _equation_modes(truncation, grid)
     fld0, sigmas = certificate.lambda_field, np.asarray(certificate.details["sigmas"])
     if fld0 is None or certificate.details["resolution"] != resolution:
-        op_j = StraightTubeOperator(mode.axis, lam_j, *resolution, grid=grid)
-        fld0, sigmas = torsion_field(op_j), _discrete_sigmas(mode, lam_j, modes, op_j)
+        op_j = StraightTubeOperator(grid, lam_j)
+        fld0, sigmas = torsion_field(op_j), _discrete_sigmas(op_j, modes)
     elif sigmas.size <= truncation:
-        sigmas = _discrete_sigmas(mode, lam_j, modes, StraightTubeOperator(
-            mode.axis, lam_j, *resolution, grid=grid))
+        sigmas = _discrete_sigmas(StraightTubeOperator(grid, lam_j), modes)
     x = np.concatenate([[lam_j], np.zeros(modes.size - 1)])
     points = [_make_point(mode, 0.0, x, fld0, 0, 0, resolution)]
 

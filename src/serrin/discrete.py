@@ -41,15 +41,16 @@ the pivoting fill runs over the narrow side: at 256x48 the band is 529 rows
 of 12288 columns.  :class:`_BandLU` holds the LAPACK layout and its failure
 path for both banded operators.
 
-Who owns the grid: a :class:`TubeGrid` holds everything that depends on
-the axis and the grid but not on the profile (the radial and angle nodes,
-the Fourier matrices, the :class:`RadialStencils` and, built on first use,
-the row-norm table).  Each operator reads its grid and never writes it.  An
-operator built without one builds its own; a caller that builds many
-operators on one grid builds the grid once and passes it as ``grid=``.
-``branch.check_cr_hypotheses`` builds one full grid for all its straight
-tubes and keeps it on the certificate.  ``branch.trace_branch`` builds one
-grid of symmetry order j for every residual's matrix-free operator and its
+Who owns the grid: a :class:`TubeGrid` is the one description of a
+discretization, everything that depends on the axis and the grid but not
+on the profile (sizes, angle scheme, axis shift, symmetry order, nodes,
+angle matrices, the :class:`RadialStencils` and, built on first use, the
+row-norm table).  Each operator is built on one, ``TubeOperator(grid,
+profile)``, ``StraightTubeOperator(grid, lam)`` or
+``MatrixFreeTubeOperator(grid, profile)``, adds only its profile and
+never writes the grid.  ``branch.check_cr_hypotheses`` builds one full
+grid for all its straight tubes; ``branch.trace_branch`` builds one grid
+of symmetry order j for every residual's matrix-free operator and its
 preconditioner.  The library keeps no cache of grids.
 
 Symmetric fields: the straight tube is invariant under rotations of the
@@ -338,23 +339,6 @@ def _sector_nodes(m_angles, symmetry):
     return m_angles // symmetry
 
 
-def _fourier_grid(axis, n_t, m_angles, grid):
-    """``grid`` if it is a default Fourier grid of these sizes, a new one for None.
-
-    A grid of any symmetry order matches when its full-circle resolution
-    is (n_t, m_angles).
-    """
-    if grid is None:
-        return TubeGrid(axis, n_t, m_angles)
-    axis = Axis.coerce(axis)
-    want = (axis, int(n_t), int(m_angles), "fourier",
-            _default_axis_shift(axis, int(m_angles), grid.m_angles))
-    have = (grid.axis, *grid.resolution, grid.angle_scheme, grid.axis_shift)
-    if have != want:
-        raise ConfigError(f"grid {have} does not match the operator's {want}")
-    return grid
-
-
 def _as_grid(values, shape):
     """Scalar or array data broadcast to a grid shape, as floats."""
     return np.broadcast_to(np.asarray(values, dtype=float), shape)
@@ -363,16 +347,21 @@ def _as_grid(values, shape):
 class _GridOperator:
     """The node-by-node operator shared by the tube operators.
 
-    Subclasses call :meth:`_use_grid` with their :class:`TubeGrid` and set
-    ``profile`` and the coefficients ``_coeffs`` = (g^tt, g^ta, g^aa, c_t),
+    Subclasses call :meth:`_use_grid` with their :class:`TubeGrid` and
+    profile and set the coefficients ``_coeffs`` = (g^tt, g^ta, g^aa, c_t),
     each broadcastable to (n_t, M).
     """
 
-    def _use_grid(self, grid):
-        self.grid = grid
+    def _use_grid(self, grid, profile):
+        if profile.axis is not grid.axis:
+            raise ConfigError(f"a {profile.axis.value} profile on a {grid.axis.value} grid")
+        self.grid, self.profile = grid, profile
         self.n_t, self.m_angles, self.t, self.angles = grid.n_t, grid.m_angles, grid.t, grid.angles
-        self.angle_scheme = grid.angle_scheme
         self._stencils, self._d1a, self._d2a = grid.stencils, grid.d1a, grid.d2a
+        # what every failure of this operator reports: its grid and its profile
+        self.context = {"resolution": grid.resolution, "symmetry": grid.symmetry,
+                        "axis": grid.axis.value, "angle_scheme": grid.angle_scheme,
+                        "profile": profile.coeffs.tolist()}
 
     @cached_property
     def row_norm(self):
@@ -418,12 +407,13 @@ class _GridOperator:
 
 
 class TubeOperator(_GridOperator):
-    """Assembled Laplace-Beltrami operator of one profile on one grid: the oracle.
+    """Assembled Laplace-Beltrami operator of ``profile`` on ``grid``: the oracle.
 
-    Rows are the interior collocation equations; columns referencing the
-    Dirichlet boundary t = 1 are split off into ``boundary_matrix`` so that
-    any boundary data can be applied at solve time.  The constructor
-    validates the grid and computes the coefficients; the sparse ``matrix``
+    Any :class:`TubeGrid` serves, the ``fd2`` scheme and injected axis
+    shifts included.  Rows are the interior collocation equations; columns
+    referencing the Dirichlet boundary t = 1 are split off into
+    ``boundary_matrix``, so that any boundary data can be applied at solve
+    time.  The constructor computes the coefficients; the sparse ``matrix``
     and ``boundary_matrix`` are assembled on first use (the first solve or
     the first read of either), so a caller that rebinds one name to the
     operator of the next radius frees the previous factors before the next
@@ -435,9 +425,8 @@ class TubeOperator(_GridOperator):
     the assembled matrix, not the factors.
     """
 
-    def __init__(self, profile, n_t, m_angles, angle_scheme="fourier", axis_shift=None):
-        self.profile = profile
-        self._use_grid(TubeGrid(profile.axis, n_t, m_angles, angle_scheme, axis_shift))
+    def __init__(self, grid, profile):
+        self._use_grid(grid, profile)
         gtt, gta, gaa, _, ct = laplacian_coefficients(profile, self.t, self.angles)
         self._coeffs = tuple(np.broadcast_to(f, (self.n_t, self.m_angles)).copy()
                              for f in (gtt, gta, gaa, ct))
@@ -511,10 +500,7 @@ class TubeOperator(_GridOperator):
                 row, node = divmod(n - 1 - column, m)
                 return {"radial_row": row, "angle_node": node}
 
-            self._lu = _BandLU(*_reversed_band(self.matrix), locate, {
-                "resolution": self.grid.resolution, "symmetry": self.grid.symmetry,
-                "axis": self.grid.axis.value, "angle_scheme": self.angle_scheme,
-                "profile": self.profile.coeffs.tolist()})
+            self._lu = _BandLU(*_reversed_band(self.matrix), locate, self.context)
         return self._lu
 
     def _solve_flat(self, b):
@@ -608,11 +594,11 @@ class _BandLU:
 
 
 class StraightTubeOperator(_GridOperator):
-    """Tube Laplacian of the straight tube of radius ``lam``, mode by mode.
+    """Tube Laplacian of the straight tube of radius ``lam`` on ``grid``, mode by mode.
 
-    Its ``solve`` takes the arguments of :meth:`TubeOperator.solve`; it
-    has the Fourier angle scheme and the default axis shift, and is built on
-    ``grid``, a :class:`TubeGrid` of these sizes, or on a new one.  The
+    Its ``solve`` takes the arguments of :meth:`TubeOperator.solve`.  The
+    mode split needs the Fourier angle scheme and the axis's default shift;
+    a ``grid`` without them is a :class:`ConfigError`.  The
     coefficients depend on t only, so the operator is diagonal in the angle
     modes k = 0..M/2: each is one banded n_t x n_t radial system, built from
     the same stencils.  The M/2 + 1 systems form one block-diagonal band of
@@ -624,12 +610,15 @@ class StraightTubeOperator(_GridOperator):
     details of a zero pivot name.
     """
 
-    def __init__(self, axis, lam, n_t, m_angles, grid=None):
-        self.profile = BoundaryProfile.constant(axis, lam)
-        self._use_grid(_fourier_grid(axis, n_t, m_angles, grid))
-        n_t, m, st, shift = self.n_t, self.m_angles, self._stencils, self.grid.axis_shift
+    def __init__(self, grid, lam):
+        shift = _default_axis_shift(grid.axis, grid.resolution[1], grid.m_angles)
+        if (grid.angle_scheme, grid.axis_shift) != ("fourier", shift):
+            raise ConfigError(f"the straight tube needs the fourier scheme and axis shift "
+                              f"{shift}, not {grid.angle_scheme} with {grid.axis_shift}")
+        self._use_grid(grid, BoundaryProfile.constant(grid.axis, lam))
+        n_t, m, st = self.n_t, self.m_angles, self._stencils
         gtt, _, gaa, _, ct = laplacian_coefficient_values(
-            self.profile.axis, self.t, float(lam), 0.0, 0.0)
+            grid.axis, self.t, float(lam), 0.0, 0.0)
         # the coefficients do not depend on the angle, so one angle column
         # stands for every row of the 2-D matrix
         self._coeffs = (gtt[:, None], 0.0, gaa[:, None], ct[:, None])
@@ -670,9 +659,8 @@ class StraightTubeOperator(_GridOperator):
             mode, row = divmod(column, n_t)
             return {"mode": mode * j, "radial_row": row}
 
-        self._lu = _BandLU(stacked.reshape(k.size * n_t, -1).T, kl, ku, locate, {
-            "resolution": self.grid.resolution, "symmetry": j,
-            "axis": self.grid.axis.value, "profile": self.profile.coeffs.tolist()})
+        self._lu = _BandLU(stacked.reshape(k.size * n_t, -1).T, kl, ku, locate,
+                           self.context)
 
     def solve(self, rhs, boundary_values):
         """Solve A u = rhs with Dirichlet data on t = 1, as TubeOperator.solve."""
@@ -690,26 +678,24 @@ class StraightTubeOperator(_GridOperator):
 
 
 class MatrixFreeTubeOperator(_GridOperator):
-    """Laplace-Beltrami operator of one profile, applied without a matrix.
+    """Laplace-Beltrami operator of ``profile`` on ``grid``, applied without a matrix.
 
     Its ``solve`` and ``solve_interior`` take the arguments of the
-    :class:`TubeOperator` methods; it has the Fourier angle scheme and the
-    default axis shift, and it and its preconditioner are built on ``grid``
-    as a :class:`StraightTubeOperator` is.  The inherited ``apply`` forms g^tt u_tt +
-    2 g^ta u_ta + g^aa u_aa + c_t u_t node by node from the assembly's
-    stencils, so it equals ``matrix @ u + boundary_matrix @ boundary_values``
-    of the assembled operator.  Solves run GMRES (Saad and Schultz, SIAM J.
-    Sci. Stat. Comput. 7, 1986), right-preconditioned by the straight tube
-    of the profile's mean radius, so the residual it minimizes is the true
-    one.  ``iterations`` is the Krylov iteration count of the latest solve
-    (the most over its columns for ``solve_interior``).
+    :class:`TubeOperator` methods; its preconditioner, on the same grid,
+    checks it as every :class:`StraightTubeOperator` does.  The inherited
+    ``apply`` forms g^tt u_tt + 2 g^ta u_ta + g^aa u_aa + c_t u_t node by
+    node from the assembly's stencils, so it equals ``matrix @ u +
+    boundary_matrix @ boundary_values`` of the assembled operator.  Solves
+    run GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986),
+    right-preconditioned by the straight tube of the profile's mean radius,
+    so the residual it minimizes is the true one.  ``iterations`` is the
+    Krylov iteration count of the latest solve (the most over its columns
+    for ``solve_interior``).
     """
 
-    def __init__(self, profile, n_t, m_angles, grid=None):
-        pre = self._preconditioner = StraightTubeOperator(
-            profile.axis, profile.coeffs[0], n_t, m_angles, grid=grid)
-        self.profile = profile
-        self._use_grid(pre.grid)
+    def __init__(self, grid, profile):
+        self._use_grid(grid, profile)
+        self._preconditioner = StraightTubeOperator(grid, profile.coeffs[0])
         gtt, gta, gaa, _, ct = laplacian_coefficients(profile, self.t, self.angles)
         self._coeffs = tuple(np.broadcast_to(f, (self.n_t, self.m_angles))
                              for f in (gtt, gta, gaa, ct))
@@ -787,9 +773,7 @@ class MatrixFreeTubeOperator(_GridOperator):
             f"GMRES residual {abs(g[cap]) / beta:.3e} above {KRYLOV_RTOL:.0e} "
             f"after {cap} iterations")
         err.details = {"residual": abs(g[cap]) / beta, "cap": KRYLOV_RTOL,
-                       "iterations": cap, "resolution": self.grid.resolution,
-                       "symmetry": self.grid.symmetry,
-                       "profile": self.profile.coeffs.tolist()}
+                       "iterations": cap, **self.context}
         raise err
 
 

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import TubeOperator
-from .errors import AnalysisError, DomainValidationError, NumericalError
+from .discrete import TubeGrid, TubeOperator
+from .errors import AnalysisError, DomainValidationError
 from .fourier import CosineSeries, cosine_coefficients
 from .geometry import HALF_PI, Axis, BoundaryProfile, ModeIndex
 from .spectrum import sigma
-from .torsion import parse_resolution, solve_torsion
+from .torsion import check_residual, parse_resolution, solve_torsion
 
 __all__ = ["HarmonicExtension", "LApplication", "harmonic_extend", "apply_L",
            "fd_derivative_H", "resolvent_apply", "constant_operator", "FDDerivativeTable"]
@@ -48,8 +48,8 @@ def constant_operator(axis, lam, resolution=DEFAULT_RESOLUTION, axis_shift=None)
     to the next radius's operator holds one factorization at a time.
     """
     n_t, m = parse_resolution(resolution)
-    return TubeOperator(BoundaryProfile.constant(axis, lam), n_t, m,
-                        axis_shift=axis_shift)
+    return TubeOperator(TubeGrid(axis, n_t, m, axis_shift=axis_shift),
+                        BoundaryProfile.constant(axis, lam))
 
 
 @dataclass
@@ -67,33 +67,49 @@ class HarmonicExtension:
     symmetry: int = 1        # the grid's order j: the angles cover [0, 2 pi/j)
 
 
-def harmonic_extend(lam, w, axis=Axis.XI, resolution=DEFAULT_RESOLUTION,
-                    operator=None):
+def harmonic_extend(lam, w, axis=Axis.XI, resolution=None, operator=None):
     """Harmonic extension of single-angle boundary data into the tube.
 
     By default this goes through the two-dimensional assembly of the
     discrete operator the torsion solver applies matrix-free, a
-    :class:`~serrin.discrete.TubeOperator`, so callers that pass one (or
-    none) genuinely measure its cross-mode leakage.  A :class:`~serrin.discrete.StraightTubeOperator`
+    :class:`~serrin.discrete.TubeOperator` (``DEFAULT_RESOLUTION`` for
+    None), so callers that pass one (or none) genuinely measure its
+    cross-mode leakage.  A :class:`~serrin.discrete.StraightTubeOperator`
     passed as ``operator`` gives the same field from per-mode radial solves,
     which cannot leak by construction.  Built on a grid of symmetry order
     j, it solves on the sector [0, 2 pi/j), which carries data whose
-    frequencies are multiples of j.
+    frequencies are multiples of j.  A passed operator must be the straight
+    tube ``lam`` of ``axis``, at ``resolution`` if given, else
+    :class:`DomainValidationError` names both sides.
     """
     lam = float(lam)
     if not 0.0 < lam < HALF_PI:
         raise DomainValidationError(f"lambda must lie in (0, pi/2), got {lam}")
     axis = Axis.coerce(axis)
     w = _as_series(w)
-    op = operator if operator is not None else constant_operator(axis, lam, resolution)
+    op = operator if operator is not None else constant_operator(
+        axis, lam, DEFAULT_RESOLUTION if resolution is None else resolution)
+    _check_operator(op, lam, axis, resolution)
     bc = w(op.angles)
     fieldvals = op.solve(0.0, bc)
     residual = op.scaled_residual(fieldvals, 0.0, bc)
-    if residual > 1e-10:
-        raise NumericalError(f"harmonic extension residual {residual:.3e} too large")
+    check_residual("harmonic extension", residual, op)
     return HarmonicExtension(lam, axis, w, op.t, op.angles, fieldvals,
                              op.t_derivative_trace(fieldvals, bc), residual,
                              op.grid.symmetry)
+
+
+def _check_operator(op, lam, axis, resolution):
+    """:class:`DomainValidationError` naming both sides unless ``op`` is the tube asked for."""
+    prof, have = op.profile, op.grid.resolution
+    want = have if resolution is None else parse_resolution(resolution)
+    clashes = [text for clash, text in (
+        (prof.axis is not axis, f"axis {axis.value} vs the operator's {prof.axis.value}"),
+        (not prof.is_constant or float(prof.coeffs[0]) != lam,
+         f"the straight tube {lam!r} vs the operator's profile {prof.coeffs.tolist()}"),
+        (want != have, f"resolution {want} vs the operator's {have}")) if clash]
+    if clashes:
+        raise DomainValidationError("operator does not match the arguments: " + "; ".join(clashes))
 
 
 @dataclass
@@ -117,8 +133,8 @@ class LApplication:
         return max(out, self.sine_residual)
 
 
-def apply_L(lam, w, axis=Axis.XI, resolution=DEFAULT_RESOLUTION, operator=None):
-    """Apply the linearized flux map at a straight tube to boundary data."""
+def apply_L(lam, w, axis=Axis.XI, resolution=None, operator=None):
+    """Apply the linearized flux map at a straight tube; arguments as :func:`harmonic_extend`."""
     ext = harmonic_extend(lam, w, axis=axis, resolution=resolution, operator=operator)
     lam = ext.lam
     samples = (np.tan(lam) / (2.0 * lam)) * ext.t_trace \

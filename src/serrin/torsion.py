@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrete import GRADING, HALF_WIDTH, MatrixFreeTubeOperator
+from .discrete import GRADING, HALF_WIDTH, MatrixFreeTubeOperator, TubeGrid
 from .errors import ConfigError, NumericalError
 from .geometry import (BoundaryProfile, boundary_area_element, laplacian_coefficient_values,
                        neumann_weight, neumann_weight_values)
 
-__all__ = ["TorsionField", "solve_torsion", "torsion_field", "flux_tangents",
+__all__ = ["TorsionField", "solve_torsion", "torsion_field", "check_residual", "flux_tangents",
            "serrin_defect", "mean_flux", "parse_resolution"]
 
 RESIDUAL_CAP = 1e-10
@@ -90,7 +90,7 @@ def solve_torsion(profile, resolution=(64, 64)):
     if n_t < 16 or m < 16:
         raise ConfigError(f"resolution must be at least 16x16, got {n_t}x{m}")
     profile.validate()
-    return torsion_field(MatrixFreeTubeOperator(profile, n_t, m))
+    return torsion_field(MatrixFreeTubeOperator(TubeGrid(profile.axis, n_t, m), profile))
 
 
 def torsion_field(operator):
@@ -99,32 +99,35 @@ def torsion_field(operator):
     ``operator`` is a :class:`~serrin.discrete.MatrixFreeTubeOperator`, a
     :class:`~serrin.discrete.TubeOperator` (factorized here unless it
     already is; the ``fd2`` angle scheme is reached this way) or, for a
-    straight tube, a :class:`~serrin.discrete.StraightTubeOperator`.  The
-    scaled residual of the solve is recorded and must stay below 1e-10,
-    else a :class:`NumericalError` is raised whose ``details`` hold the
-    residual, the cap, the resolution, the grid's symmetry order, the
-    profile coefficients and, for a Krylov solve, its iteration count.
+    straight tube, a :class:`~serrin.discrete.StraightTubeOperator`; its
+    :class:`~serrin.discrete.TubeGrid` sets the discretization.  The
+    scaled residual of the solve is recorded and must stay below 1e-10
+    (:func:`check_residual`).
     """
     u = operator.solve(-1.0, 0.0)
-    iterations = getattr(operator, "iterations", 0)
     residual = operator.scaled_residual(u, -1.0, 0.0)
-    if residual > RESIDUAL_CAP:
-        err = NumericalError(
-            f"torsion solve residual {residual:.3e} exceeds {RESIDUAL_CAP:.0e}")
-        err.details = {"residual": residual, "cap": RESIDUAL_CAP,
-                       "resolution": operator.grid.resolution,
-                       "symmetry": operator.grid.symmetry,
-                       "profile": operator.profile.coeffs.tolist()}
-        if hasattr(operator, "iterations"):
-            err.details["iterations"] = iterations
-        raise err
+    check_residual("torsion solve", residual, operator)
     du = operator.t_derivative_trace(u, 0.0)
     h_vals = neumann_weight(operator.profile, operator.angles) * du
     return TorsionField(operator.profile, operator.t, operator.angles, u, h_vals, residual,
                         meta={"resolution": operator.grid.resolution,
                               "half_width": HALF_WIDTH, "beta": GRADING,
-                              "angle_scheme": operator.angle_scheme},
-                        krylov_iterations=iterations)
+                              "angle_scheme": operator.grid.angle_scheme},
+                        krylov_iterations=getattr(operator, "iterations", 0))
+
+
+def check_residual(what, residual, operator):
+    """Raise :class:`NumericalError` if a solve's scaled residual exceeds ``RESIDUAL_CAP``.
+
+    Its ``details`` hold the residual, the cap, the operator's ``context``
+    and, for a Krylov solve, its iteration count.
+    """
+    if residual > RESIDUAL_CAP:
+        err = NumericalError(f"{what} residual {residual:.3e} exceeds {RESIDUAL_CAP:.0e}")
+        err.details = {"residual": residual, "cap": RESIDUAL_CAP, **operator.context}
+        if hasattr(operator, "iterations"):
+            err.details["iterations"] = operator.iterations
+        raise err
 
 
 def flux_tangents(operator, fld, modes):

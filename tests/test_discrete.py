@@ -97,11 +97,11 @@ class TestRowNorm:
     def test_matches_the_assembled_matrix(self, axis, n_t, m):
         for coeffs in ROW_NORM_PROFILES:
             prof = BoundaryProfile(axis, coeffs)
-            want = np.abs(TubeOperator(prof, n_t, m).matrix).sum(axis=1).max()
-            ops = [MatrixFreeTubeOperator(prof, n_t, m)]
+            want = np.abs(TubeOperator(TubeGrid(axis, n_t, m), prof).matrix).sum(axis=1).max()
+            ops = [MatrixFreeTubeOperator(TubeGrid(axis, n_t, m), prof)]
             if len(coeffs) == 1:
                 # the straight tube's scalar g^ta and angle-free coefficients
-                ops.append(StraightTubeOperator(axis, coeffs[0], n_t, m))
+                ops.append(StraightTubeOperator(TubeGrid(axis, n_t, m), coeffs[0]))
             for op in ops:
                 assert abs(op.row_norm - want) <= 1e-12 * want, (type(op).__name__, coeffs)
 
@@ -118,7 +118,7 @@ class TestRowNorm:
 
 
 class TestSharedGrid:
-    """Operators built on one shared grid are the operators built alone."""
+    """Operators built on one shared grid are the operators built on their own."""
 
     @pytest.mark.parametrize("axis", [Axis.XI, Axis.ETA])
     def test_shared_grid_operators_are_bitwise_fresh_ones(self, axis):
@@ -128,10 +128,10 @@ class TestSharedGrid:
         t = radial_grid(n_t)
         u = np.sin(3.0 * t)[:, None] * (1.0 + 0.3 * np.cos(np.arange(m)))[None, :]
         bc = 0.5 + np.cos(np.arange(m))
-        pairs = [(StraightTubeOperator(axis, 0.8, n_t, m),
-                  StraightTubeOperator(axis, 0.8, n_t, m, grid=grid)),
-                 (MatrixFreeTubeOperator(prof, n_t, m),
-                  MatrixFreeTubeOperator(prof, n_t, m, grid=grid))]
+        pairs = [(StraightTubeOperator(TubeGrid(axis, n_t, m), 0.8),
+                  StraightTubeOperator(grid, 0.8)),
+                 (MatrixFreeTubeOperator(TubeGrid(axis, n_t, m), prof),
+                  MatrixFreeTubeOperator(grid, prof))]
         for fresh, shared in pairs:
             assert shared.grid is grid and fresh.grid is not grid
             assert np.array_equal(shared.apply(u, bc), fresh.apply(u, bc))
@@ -145,14 +145,39 @@ class TestSharedGrid:
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
-    @pytest.mark.parametrize("grid_args", [(Axis.ETA, 40, 32), (Axis.XI, 48, 32),
-                                           (Axis.XI, 40, 32, "fd2"), (Axis.XI, 40, 32, "fourier", 16)])
+    # the operators take their sizes from the grid, so the grid left to
+    # reject is one without the straight tube's mode split: the fd2 scheme,
+    # then an injected shift (the other axis's default), on each axis and
+    # once on a 2 pi/3 sector (default shift 6); the xi cases are cases 2, 3
+    @pytest.mark.parametrize("grid_args", [
+        ((Axis.ETA, 40, 32, "fd2"), {}), ((Axis.ETA, 40, 32), {"axis_shift": 0}),
+        ((Axis.XI, 40, 32, "fd2"), {}), ((Axis.XI, 40, 32), {"axis_shift": 16}),
+        ((Axis.ETA, 40, 36), {"axis_shift": 0, "symmetry": 3})])
     def test_a_grid_of_other_sizes_or_scheme_is_rejected(self, grid_args):
-        grid = TubeGrid(*grid_args)
-        with pytest.raises(ConfigError, match="does not match"):
-            StraightTubeOperator(Axis.XI, 0.8, 40, 32, grid=grid)
-        with pytest.raises(ConfigError, match="does not match"):
-            MatrixFreeTubeOperator(BoundaryProfile.constant(Axis.XI, 0.8), 40, 32, grid=grid)
+        args, kwargs = grid_args
+        grid = TubeGrid(*args, **kwargs)
+        with pytest.raises(ConfigError, match="needs the fourier scheme"):
+            StraightTubeOperator(grid, 0.8)
+        with pytest.raises(ConfigError, match="needs the fourier scheme"):
+            MatrixFreeTubeOperator(grid, BoundaryProfile(grid.axis, [0.8, 0.0, 0.0, 0.05]))
+        # the oracle assembles on any grid
+        assert TubeOperator(grid, BoundaryProfile.constant(grid.axis, 0.8)).matrix.nnz > 0
+
+
+class TestConstructorContract:
+    """Each operator takes its discretization from the grid and adds its profile."""
+
+    @pytest.mark.parametrize("axis", [Axis.XI, Axis.ETA])
+    def test_a_profile_of_the_other_axis_is_rejected(self, axis):
+        other = Axis.ETA if axis is Axis.XI else Axis.XI
+        grid, prof = TubeGrid(axis, 40, 32), BoundaryProfile(other, ROW_NORM_PROFILES[1])
+        for build in (TubeOperator, MatrixFreeTubeOperator):
+            with pytest.raises(ConfigError,
+                               match=f"a {other.value} profile on a {axis.value} grid"):
+                build(grid, prof)
+        # the straight tube takes a radius, not a profile: its profile is
+        # the constant on the grid's axis, so no other axis can reach it
+        assert StraightTubeOperator(grid, 0.8).profile.axis is axis
 
 
 # profiles whose modes are multiples of the symmetry order, j = 2 and j = 3
@@ -180,14 +205,14 @@ class TestSectorGrid:
         u, bc = self._periodic(j, n_t, m)
         k = m // j
         prof = BoundaryProfile(axis, SECTOR_PROFILES[j])
-        full_op = MatrixFreeTubeOperator(prof, n_t, m)
-        sector_op = MatrixFreeTubeOperator(prof, n_t, m, grid=sector)
+        full_op = MatrixFreeTubeOperator(TubeGrid(axis, n_t, m), prof)
+        sector_op = MatrixFreeTubeOperator(sector, prof)
         want = full_op.apply(u, bc)
         got = sector_op.apply(u[:, :k], bc[:k])
         assert np.max(np.abs(got - want[:, :k])) <= 1e-12 * np.max(np.abs(want))
         rhs = np.cos(2.0 * radial_grid(n_t))[:, None] * (1.0 + np.cos(j * sector.angles))
-        full = StraightTubeOperator(axis, 0.8, n_t, m).solve(np.tile(rhs, j), bc)
-        part = StraightTubeOperator(axis, 0.8, n_t, m, grid=sector).solve(rhs, bc[:k])
+        full = StraightTubeOperator(TubeGrid(axis, n_t, m), 0.8).solve(np.tile(rhs, j), bc)
+        part = StraightTubeOperator(sector, 0.8).solve(rhs, bc[:k])
         # the mean-mode eigenvalue of each grid's D2 is 0 only to roundoff
         # (about 1e-12 here), and on the eta axis g^aa = 1/sin^2(t phi)
         # amplifies the difference: measured 4e-13 (xi) and 4e-12 (eta)
@@ -199,9 +224,8 @@ class TestSectorGrid:
     def test_row_norm_is_the_matrix_row_sum(self, axis, j, m):
         # the sector matrix, column by column from the node-by-node operator
         grid = TubeGrid(axis, 10, m, symmetry=j)
-        ops = [MatrixFreeTubeOperator(BoundaryProfile(axis, SECTOR_PROFILES[j]), 10, m,
-                                      grid=grid),
-               StraightTubeOperator(axis, 0.8, 10, m, grid=grid)]
+        ops = [MatrixFreeTubeOperator(grid, BoundaryProfile(axis, SECTOR_PROFILES[j])),
+               StraightTubeOperator(grid, 0.8)]
         for op in ops:
             eye = np.eye(op.n_t * op.m_angles)
             matrix = np.column_stack([op.apply(e.reshape(op.n_t, op.m_angles), 0.0).ravel()
@@ -243,7 +267,7 @@ class TestAssembledOracle:
     @pytest.mark.parametrize("axis, coeffs, resolution, scheme, shift", ORACLE_CASES)
     def test_band_lu_matches_superlu(self, axis, coeffs, resolution, scheme, shift):
         n_t, m = resolution
-        op = TubeOperator(BoundaryProfile(axis, coeffs), n_t, m, scheme, shift)
+        op = TubeOperator(TubeGrid(axis, n_t, m, scheme, shift), BoundaryProfile(axis, coeffs))
         rng = np.random.default_rng(n_t * m)
         rhs, bc = rng.standard_normal((n_t, m)), rng.standard_normal(m)
         columns = rng.standard_normal((n_t * m, 3))
@@ -260,7 +284,7 @@ class TestAssembledOracle:
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_assembly_waits_for_first_use(self):
-        op = TubeOperator(BoundaryProfile(Axis.ETA, [0.8, 0.0, 0.05]), 40, 32)
+        op = TubeOperator(TubeGrid(Axis.ETA, 40, 32), BoundaryProfile(Axis.ETA, [0.8, 0.0, 0.05]))
         assert "_assembly" not in vars(op) and op._lu is None
         assert op.matrix.nnz > 0 and "_assembly" in vars(op) and op._lu is None
         op.solve(-1.0, 0.0)
@@ -289,7 +313,7 @@ class TestAssembledOracle:
         monkeypatch.setattr(discrete.lapack, "dgbtrf", failing)
 
     def test_zero_pivot_of_the_oracle_names_its_node(self, monkeypatch):
-        op = TubeOperator(BoundaryProfile(Axis.ETA, [0.8, 0.05]), 40, 32, "fd2")
+        op = TubeOperator(TubeGrid(Axis.ETA, 40, 32, "fd2"), BoundaryProfile(Axis.ETA, [0.8, 0.05]))
         self._zero_pivot_at(monkeypatch, 5)
         with pytest.raises(NumericalError, match="radial row 39, angle node 27") as err:
             op.solve(-1.0, 0.0)
@@ -303,8 +327,8 @@ class TestAssembledOracle:
         grid = TubeGrid(Axis.XI, 40, 32, symmetry=2)
         self._zero_pivot_at(monkeypatch, 40 + 3)
         with pytest.raises(NumericalError, match="mode 2, radial row 2") as err:
-            StraightTubeOperator(Axis.XI, 0.8, 40, 32, grid=grid)
+            StraightTubeOperator(grid, 0.8)
         # the sector's mode 1 is the circle's mode 2
         assert err.value.details == {
             "info": 43, "mode": 2, "radial_row": 2, "resolution": (40, 32),
-            "symmetry": 2, "axis": "xi", "profile": [0.8]}
+            "symmetry": 2, "axis": "xi", "angle_scheme": "fourier", "profile": [0.8]}

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from serrin.discrete import StraightTubeOperator
-from serrin.errors import ConfigError, DomainValidationError
+from serrin import torsion
+from serrin.discrete import MatrixFreeTubeOperator, StraightTubeOperator, TubeGrid
+from serrin.errors import ConfigError, DomainValidationError, NumericalError
 from serrin.fourier import CosineSeries
-from serrin.geometry import Axis, ModeIndex
+from serrin.geometry import Axis, BoundaryProfile, ModeIndex
 from serrin.linearize import (apply_L, constant_operator, fd_derivative_H,
                               harmonic_extend, resolvent_apply)
 from serrin.modes import solve_l
@@ -40,6 +41,28 @@ class TestHarmonicExtension:
         with pytest.raises(DomainValidationError):
             harmonic_extend(1.6, CosineSeries.basis(1))
 
+    def test_residual_failure_carries_the_operator_context(self, monkeypatch):
+        # the same details as a torsion solve's residual failure
+        monkeypatch.setattr(torsion, "RESIDUAL_CAP", 0.0)
+        op = StraightTubeOperator(TubeGrid(ETA, 40, 32), 0.9)
+        with pytest.raises(NumericalError, match="harmonic extension residual") as info:
+            harmonic_extend(0.9, CosineSeries.basis(2), axis=ETA, operator=op)
+        details = info.value.details
+        assert 0.0 < details.pop("residual") < 1e-10
+        assert details == {"cap": 0.0, "resolution": (40, 32), "symmetry": 1, "axis": "eta",
+                           "angle_scheme": "fourier", "profile": [0.9]}
+
+    # a perturbed profile, then a radius off by one part in 1e12
+    @pytest.mark.parametrize("profile, lam, clash", [
+        ([0.8, 0.0, 0.05], 0.8,
+         r"straight tube 0\.8 vs the operator's profile \[0\.8, 0\.0, 0\.05\]"),
+        ([0.8], 0.8 + 1e-12, r"straight tube 0\.800000000001 vs the operator's profile \[0\.8\]")],
+        ids=["perturbed", "radius"])
+    def test_an_operator_of_another_profile_is_rejected(self, profile, lam, clash):
+        op = MatrixFreeTubeOperator(TubeGrid(XI, 40, 32), BoundaryProfile(XI, profile))
+        with pytest.raises(DomainValidationError, match=clash):
+            harmonic_extend(lam, CosineSeries.basis(2), axis=XI, operator=op)
+
 
 class TestApplyL:
     def test_eigenfunction_identity_with_leakage(self):
@@ -52,6 +75,21 @@ class TestApplyL:
                     dev = np.max(np.abs(la.samples - sig * np.cos(n * la.angles)))
                     assert dev < 1e-7, f"{axis} n={n} lam={lam}: {dev:.2e}"
                     assert la.leakage({n}) < 1e-8
+
+    def test_an_operator_of_another_tube_is_rejected(self):
+        # unchecked, this returned the coefficient 0.7063 of the eta 0.9 tube
+        # (sigma_2 = 0.5950 there) labelled xi at 0.8 (sigma_2 = 0.0301)
+        op = constant_operator("eta", 0.9, (48, 16))
+        with pytest.raises(DomainValidationError) as info:
+            apply_L(0.8, CosineSeries.basis(2), axis="xi", resolution=(256, 48), operator=op)
+        message = str(info.value)
+        for clash in ("axis xi vs the operator's eta",
+                      "straight tube 0.8 vs the operator's profile [0.9]",
+                      "resolution (256, 48) vs the operator's (48, 16)"):
+            assert clash in message
+        # the operator's own radius, axis and resolution, in any spelling
+        la = apply_L(0.9, CosineSeries.basis(2), axis="ETA", resolution="48x16", operator=op)
+        assert la.axis is ETA and la.lam == 0.9
 
     def test_axis_name_in_any_case(self):
         upper = apply_L(0.8, CosineSeries.basis(2), axis="XI", resolution=(32, 16))
@@ -83,7 +121,7 @@ class TestStraightTubeOperator:
     @pytest.mark.parametrize("lam", [0.3, 0.8, 1.3])
     def test_matches_the_two_dimensional_operator(self, axis, lam):
         for (n_t, m), n_max in (((64, 64), 16), ((256, 48), 8)):
-            fast = StraightTubeOperator(axis, lam, n_t, m)
+            fast = StraightTubeOperator(TubeGrid(axis, n_t, m), lam)
             slow = constant_operator(axis, lam, (n_t, m))
             row_norm = np.abs(slow.matrix).sum(axis=1).max()
             assert abs(fast.row_norm - row_norm) <= 1e-12 * row_norm
@@ -101,20 +139,20 @@ class TestStraightTubeOperator:
     def test_no_pivot_leaves_its_mode_block(self, axis, lam, n_t, m):
         # the modes share one block-diagonal band, which is only their
         # direct sum if partial pivoting keeps every row in its block
-        piv = StraightTubeOperator(axis, lam, n_t, m)._lu.piv
+        piv = StraightTubeOperator(TubeGrid(axis, n_t, m), lam)._lu.piv
         assert piv.size == (m // 2 + 1) * n_t
         assert np.array_equal(piv // n_t, np.arange(piv.size) // n_t)
 
     @pytest.mark.parametrize("axis", [XI, ETA])
     def test_residual_catches_a_wrong_field(self, axis):
-        fast = StraightTubeOperator(axis, 0.8, 48, 32)
+        fast = StraightTubeOperator(TubeGrid(axis, 48, 32), 0.8)
         u = fast.solve(-1.0, 0.0)
         assert fast.scaled_residual(u, -1.0, 0.0) < RESIDUAL_CAP
         assert fast.scaled_residual(u + 1e-6, -1.0, 0.0) > RESIDUAL_CAP
 
     def test_odd_angle_count_is_rejected(self):
         with pytest.raises(ConfigError):
-            StraightTubeOperator(XI, 0.8, 48, 31)
+            StraightTubeOperator(TubeGrid(XI, 48, 31), 0.8)
 
 
 class TestFdDerivative:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from serrin import torsion
-from serrin.discrete import KRYLOV_MAX_ITER, MatrixFreeTubeOperator, TubeOperator
+from serrin.discrete import KRYLOV_MAX_ITER, MatrixFreeTubeOperator, TubeGrid, TubeOperator
 from serrin.errors import ConfigError, DomainValidationError, NumericalError
 from serrin.geometry import (Axis, BoundaryProfile, boundary_area, laplacian_coefficients,
                              volume)
@@ -112,15 +112,15 @@ class TestPerturbedProfiles:
 class TestAngleSchemes:
     def test_fd2_reference_coupling_passes_radial_validation(self):
         lam = 0.8
-        fld = torsion_field(TubeOperator(BoundaryProfile.constant(Axis.XI, lam), 64, 32,
-                                         angle_scheme="fd2"))
+        fld = torsion_field(TubeOperator(TubeGrid(Axis.XI, 64, 32, angle_scheme="fd2"),
+                                         BoundaryProfile.constant(Axis.XI, lam)))
         exact = radial_torsion(lam, fld.t * lam)[:, None]
         assert np.max(np.abs(fld.u - exact)) < 1e-9
         assert serrin_defect(fld) < 1e-10
 
     def test_fd2_handles_perturbed_profiles_consistently(self):
         prof = BoundaryProfile(Axis.XI, [0.8, 0.0, 0.05])
-        a = torsion_field(TubeOperator(prof, 48, 96, angle_scheme="fd2"))
+        a = torsion_field(TubeOperator(TubeGrid(Axis.XI, 48, 96, angle_scheme="fd2"), prof))
         b = solve_torsion(prof, (48, 96))
         # second-order angle coupling converges to the spectral answer
         assert np.max(np.abs(a.neumann - b.neumann)) < 5e-4
@@ -132,7 +132,7 @@ class TestDiscreteDerivatives:
     def test_coefficients_times_derivatives_reproduce_the_matrix(self, axis, scheme):
         # a perturbed profile exercises the cross term, eta the axis shift
         prof = BoundaryProfile(axis, [0.9, 0.03, 0.05, 0.0, 0.01])
-        op = TubeOperator(prof, 40, 32, angle_scheme=scheme)
+        op = TubeOperator(TubeGrid(axis, 40, 32, angle_scheme=scheme), prof)
         u = np.sin(3.0 * op.t)[:, None] * (1.0 + 0.3 * np.cos(op.angles)
                                            + 0.2 * np.sin(2.0 * op.angles))[None, :]
         bc = 0.5 + np.cos(op.angles)
@@ -144,7 +144,8 @@ class TestDiscreteDerivatives:
 
     def test_non_finite_tangent_solve_is_a_numerical_error(self):
         prof = BoundaryProfile(Axis.XI, [0.8, 0.0, 0.05])
-        for op in (TubeOperator(prof, 24, 16), MatrixFreeTubeOperator(prof, 24, 16)):
+        for op in (TubeOperator(TubeGrid(Axis.XI, 24, 16), prof),
+                   MatrixFreeTubeOperator(TubeGrid(Axis.XI, 24, 16), prof)):
             fld = torsion_field(op)
             fld.u[3, 5] = np.nan
             with pytest.raises(NumericalError, match="tangent solve"):
@@ -162,7 +163,8 @@ class TestMatrixFreeOperator:
     def test_matches_the_assembled_operator(self, axis, coeffs):
         prof = BoundaryProfile(axis, coeffs)
         for n_t, m in ((40, 32), (64, 64)):
-            slow, fast = TubeOperator(prof, n_t, m), MatrixFreeTubeOperator(prof, n_t, m)
+            slow = TubeOperator(TubeGrid(axis, n_t, m), prof)
+            fast = MatrixFreeTubeOperator(TubeGrid(axis, n_t, m), prof)
             u = np.sin(3.0 * slow.t)[:, None] * (1.0 + 0.3 * np.cos(slow.angles)
                                                  + 0.2 * np.sin(2.0 * slow.angles))[None, :]
             bc = 0.5 + np.cos(slow.angles)
@@ -177,7 +179,8 @@ class TestMatrixFreeOperator:
     @pytest.mark.parametrize("axis", [Axis.XI, Axis.ETA])
     def test_flux_tangents_match_the_direct_solve(self, axis):
         prof = BoundaryProfile(axis, PROFILES[0])
-        slow, fast = TubeOperator(prof, 64, 64), MatrixFreeTubeOperator(prof, 64, 64)
+        slow = TubeOperator(TubeGrid(axis, 64, 64), prof)
+        fast = MatrixFreeTubeOperator(TubeGrid(axis, 64, 64), prof)
         modes = [0, 1, 2, 3, 5, 8]
         want = flux_tangents(slow, torsion_field(slow), modes)
         got = flux_tangents(fast, torsion_field(fast), modes)
@@ -186,28 +189,32 @@ class TestMatrixFreeOperator:
     @pytest.mark.parametrize("axis", [Axis.XI, Axis.ETA])
     def test_constant_profile_converges_at_once(self, axis):
         # the preconditioner is the operator itself: one step, one to mop up
-        op = MatrixFreeTubeOperator(BoundaryProfile.constant(axis, 0.8), 64, 64)
+        op = MatrixFreeTubeOperator(TubeGrid(axis, 64, 64), BoundaryProfile.constant(axis, 0.8))
         torsion_field(op)
         assert 1 <= op.iterations <= 2
 
     def test_unpreconditioned_solve_fails_with_its_context(self):
-        op = MatrixFreeTubeOperator(BoundaryProfile(Axis.ETA, PROFILES[0]), 40, 32)
+        op = MatrixFreeTubeOperator(TubeGrid(Axis.ETA, 40, 32),
+                                    BoundaryProfile(Axis.ETA, PROFILES[0]))
         op._preconditioner = SimpleNamespace(solve=lambda rhs, bc: np.array(rhs))
         with pytest.raises(NumericalError, match="GMRES") as info:
             op.solve(-1.0, 0.0)
         details = info.value.details
         assert details["iterations"] == KRYLOV_MAX_ITER and details["residual"] > details["cap"]
         assert details["resolution"] == (40, 32) and details["profile"] == PROFILES[0]
+        assert details["axis"] == "eta" and details["angle_scheme"] == "fourier"
 
     def test_residual_cap_failure_carries_its_context(self, monkeypatch):
         monkeypatch.setattr(torsion, "RESIDUAL_CAP", 0.0)
-        op = MatrixFreeTubeOperator(BoundaryProfile(Axis.XI, PROFILES[2]), 40, 32)
+        op = MatrixFreeTubeOperator(TubeGrid(Axis.XI, 40, 32),
+                                    BoundaryProfile(Axis.XI, PROFILES[2]))
         with pytest.raises(NumericalError, match="exceeds") as info:
             torsion_field(op)
         details = info.value.details
         assert details["cap"] == 0.0 and 0.0 < details["residual"] < 1e-10
         assert details["iterations"] == op.iterations > 0
         assert details["resolution"] == (40, 32) and details["profile"] == PROFILES[2]
+        assert details["axis"] == "xi" and details["angle_scheme"] == "fourier"
 
 
 class TestEtaAxisBehavior:
