@@ -103,7 +103,8 @@ def _merged(ns, defaults):
 
 def _check_positive(**named):
     for name, value in named.items():
-        if value is not None and value <= 0:
+        # written so that NaN fails it
+        if value is not None and not value > 0:
             raise ConfigError(f"{name} must be positive, got {value}")
 
 

@@ -34,12 +34,15 @@ one ``dgbtrs`` solves them all.
 
 The assembled oracle is block-banded: a radial row reaches 3 rows outward
 (5 for the one-sided stencils next to t = 1), and each carries a dense
-M x M angle block.  So it is factorized as one band by LAPACK's ``dgbtrf``
-(Gaussian elimination with partial pivoting, Golub and Van Loan, *Matrix
-Computations*, section 4.3), with the unknowns numbered in reverse so that
-the pivoting fill runs over the narrow side: at 256x48 the band is 529 rows
-of 12288 columns.  :class:`_BandLU` holds the LAPACK layout and its failure
-path for both banded operators.
+M x M angle block.  Its COO entries are written for all radial rows at
+once, each kind of block through a reshaped view of preallocated arrays
+(:func:`_coo_entries`), with no loop over the rows.  It is factorized as
+one band by LAPACK's ``dgbtrf`` (Gaussian elimination with partial
+pivoting, Golub and Van Loan, *Matrix Computations*, section 4.3), with
+the unknowns numbered in reverse so that the pivoting fill runs over the
+narrow side: at 256x48 the band is 529 rows of 12288 columns.
+:class:`_BandLU` holds the LAPACK layout and its failure path for both
+banded operators.
 
 Who owns the grid: a :class:`TubeGrid` is the one description of a
 discretization, everything that depends on the axis and the grid but not
@@ -419,11 +422,13 @@ class TubeOperator(_GridOperator):
     shifts included.  Rows are the interior collocation equations; columns
     referencing the Dirichlet boundary t = 1 are split off into
     ``boundary_matrix``, so that any boundary data can be applied at solve
-    time.  The constructor computes the coefficients; the sparse ``matrix``
-    and ``boundary_matrix`` are assembled on first use (the first solve or
-    the first read of either), so a caller that rebinds one name to the
-    operator of the next radius frees the previous factors before the next
-    assembly starts.
+    time.  The entries come from :func:`_coo_entries`, which writes every
+    radial row's blocks in whole-array operations, in the order a
+    row-by-row loop would emit them.  The constructor computes the
+    coefficients; the sparse ``matrix`` and ``boundary_matrix`` are
+    assembled on first use (the first solve or the first read of either),
+    so a caller that rebinds one name to the operator of the next radius
+    frees the previous factors before the next assembly starts.
 
     ``lu`` factorizes ``matrix`` on first use, one :class:`_BandLU` with
     the unknowns numbered in reverse (see the module notes), and keeps it
@@ -451,42 +456,8 @@ class TubeOperator(_GridOperator):
     # -- assembly -------------------------------------------------------
     @cached_property
     def _assembly(self):
-        n_t, m = self.n_t, self.m_angles
-        n = n_t * m
-        d1a, d2a = self._d1a, self._d2a
-        gtt, gta, gaa, ct = self._coeffs
-        has_cross = bool(np.any(gta))
-
-        st = self._stencils
-        w1, w2, lows, colmap = st.w1, st.w2, st.lows, st.colmap
-        karr = np.arange(m, dtype=np.int32)
-        # the entry count is known, so the COO arrays are filled in place:
-        # no list of pieces and no joined copy of it
-        width = w1.shape[1]
-        total = n_t * (m * m + width * m * (1 + m * has_cross))
-        rows = np.empty(total, dtype=np.int32)
-        cols = np.empty(total, dtype=np.int32)
-        data = np.empty(total)
-        end = 0
-
-        def emit(row_idx, col_idx, values):
-            nonlocal end
-            start, end = end, end + values.size
-            rows[start:end] = row_idx.ravel()
-            cols[start:end] = col_idx.ravel()
-            data[start:end] = values.ravel()
-
-        for i in range(n_t):
-            row_k = i * m + karr
-            block_rows = np.repeat(row_k, m)
-            emit(block_rows, np.tile(row_k, m), gaa[i][:, None] * d2a)
-            for j in range(width):
-                col_k = colmap[lows[i] + j]
-                emit(row_k, col_k, gtt[i] * w2[i, j] + ct[i] * w1[i, j])
-                if has_cross:
-                    emit(block_rows, np.tile(col_k, m),
-                         (2.0 * gta[i] * w1[i, j])[:, None] * d1a)
-
+        n, m = self.n_t * self.m_angles, self.m_angles
+        rows, cols, data = _coo_entries(self.grid, self._coeffs)
         full = sparse.coo_matrix((data, (rows, cols)), shape=(n, n + m)).tocsc()
         del data, rows, cols        # before the boundary split below copies
         # views of the first n columns, which a full[:, :n] slice would copy
@@ -546,6 +517,61 @@ class TubeOperator(_GridOperator):
         sides; all columns share the factorization in one back-solve.
         """
         return self._solve_flat(rhs)
+
+
+def _coo_entries(grid, coeffs):
+    """COO (rows, cols, data) of the 2-D operator with ``coeffs`` on ``grid``.
+
+    ``coeffs`` are (g^tt, g^ta, g^aa, c_t), each (n_t, M).  Radial row i
+    emits, in this order, its angle block g^aa D2, then for each of its
+    stencil nodes the radial entries g^tt w2 + c_t w1 and, unless g^ta is
+    zero everywhere, the cross block 2 g^ta w1 D1.  Each kind is written
+    for all rows at once through a reshaped view of arrays laid out as
+    (n_t, M M + width (M + M M)), so nothing the size of the arrays is
+    allocated twice.
+    """
+    n_t, m, st = grid.n_t, grid.m_angles, grid.stencils
+    gtt, gta, gaa, ct = coeffs
+    width = st.w1.shape[1]
+    has_cross = bool(np.any(gta))
+    node = m + m * m * has_cross
+    # 32-bit indices are what a CSC matrix stores
+    rows = np.empty((n_t, m * m + width * node), dtype=np.int32)
+    cols = np.empty_like(rows)
+    data = np.empty(rows.shape)
+    row_k = np.arange(n_t * m, dtype=np.int32).reshape(n_t, m)
+    col_k = st.colmap[st.nodes]
+
+    def views(a):
+        # assigning a shape raises where a reshape would copy
+        angle, stencil = a[:, :m * m], a[:, m * m:]
+        angle.shape = n_t, m, m
+        stencil.shape = n_t, width, node
+        cross = stencil[..., m:]
+        if has_cross:
+            cross.shape = n_t, width, m, m
+        return angle, stencil[..., :m], cross
+
+    angle, radial, cross = views(rows)
+    angle[...] = row_k[:, :, None]
+    radial[...] = row_k[:, None, :]
+    if has_cross:
+        cross[...] = row_k[:, None, :, None]
+    angle, radial, cross = views(cols)
+    angle[...] = row_k[:, None, :]
+    radial[...] = col_k
+    if has_cross:
+        cross[...] = col_k[:, :, None, :]
+    del col_k
+    angle, radial, cross = views(data)
+    np.multiply(gaa[:, :, None], grid.d2a, out=angle)
+    np.multiply(gtt[:, None, :], st.w2[:, :, None], out=radial)
+    scratch = np.multiply(ct[:, None, :], st.w1[:, :, None])
+    radial += scratch
+    if has_cross:
+        np.multiply(2.0 * gta[:, None, :], st.w1[:, :, None], out=scratch)
+        np.multiply(scratch[..., None], grid.d1a, out=cross)
+    return rows.ravel(), cols.ravel(), data.ravel()
 
 
 def _reversed_band(a):

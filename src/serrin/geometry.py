@@ -160,7 +160,8 @@ class BoundaryProfile:
         n_check = n_check or max(512, 8 * (self.n_modes + 1))
         vals = self.collocation(n_check)
         lo, hi = float(np.min(vals)), float(np.max(vals))
-        if lo <= 0.0 or hi >= HALF_PI:
+        # written so that a NaN sample fails it
+        if not (lo > 0.0 and hi < HALF_PI):
             raise DomainValidationError(
                 f"profile leaves the admissible band (0, pi/2): range [{lo:.6f}, {hi:.6f}]")
 

@@ -7,7 +7,10 @@ None of these is called by the package itself:
   Riccati curves of :mod:`serrin.modes` and to sigma_n;
 * the Frobenius launch at the axis on its own (:func:`frobenius_launch`);
 * the growth, ordering and near-wall certificates of one eigenvalue
-  family (:func:`asymptotics_report`).
+  family (:func:`asymptotics_report`);
+* the COO entries of the assembled tube operator emitted radial row by
+  radial row (:func:`row_loop_entries`), the bitwise reference of
+  ``discrete._coo_entries``.
 """
 
 from dataclasses import dataclass
@@ -247,3 +250,45 @@ def asymptotics_report(mode_or_axis, n_max=8):
 
     return AsymptoticsReport(axis, ratios, float(upper_margin if axis is Axis.XI else np.nan),
                              float(lower_margin), roots, limits, checks)
+
+
+def row_loop_entries(grid, coeffs):
+    """COO (rows, cols, data) of the 2-D tube operator, one radial row at a time.
+
+    Row i emits its angle block g^aa D2, then for each stencil node j the
+    radial entries g^tt w2 + c_t w1 and, unless g^ta is zero everywhere, the
+    cross block 2 g^ta w1 D1, in that order.
+    """
+    n_t, m = grid.n_t, grid.m_angles
+    d1a, d2a = grid.d1a, grid.d2a
+    gtt, gta, gaa, ct = coeffs
+    has_cross = bool(np.any(gta))
+    st = grid.stencils
+    w1, w2, lows, colmap = st.w1, st.w2, st.lows, st.colmap
+    karr = np.arange(m, dtype=np.int32)
+    width = w1.shape[1]
+    total = n_t * (m * m + width * m * (1 + m * has_cross))
+    rows = np.empty(total, dtype=np.int32)
+    cols = np.empty(total, dtype=np.int32)
+    data = np.empty(total)
+    end = 0
+
+    def emit(row_idx, col_idx, values):
+        nonlocal end
+        start, end = end, end + values.size
+        rows[start:end] = row_idx.ravel()
+        cols[start:end] = col_idx.ravel()
+        data[start:end] = values.ravel()
+
+    for i in range(n_t):
+        row_k = i * m + karr
+        block_rows = np.repeat(row_k, m)
+        emit(block_rows, np.tile(row_k, m), gaa[i][:, None] * d2a)
+        for j in range(width):
+            col_k = colmap[lows[i] + j]
+            emit(row_k, col_k, gtt[i] * w2[i, j] + ct[i] * w1[i, j])
+            if has_cross:
+                emit(block_rows, np.tile(col_k, m),
+                     (2.0 * gta[i] * w1[i, j])[:, None] * d1a)
+    assert end == total
+    return rows, cols, data

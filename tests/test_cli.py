@@ -196,6 +196,15 @@ class TestConfigFile:
         assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    # NaN compares false both ways, so a check must be written to fail it
+    @pytest.mark.parametrize("args", [["solve", "--lam", "nan"],
+                                      ["solve", "--amplitude", "nan"],
+                                      ["branch", "--smax", "nan"]])
+    def test_nan_option_is_config_error_before_any_work(self, tmp_path, args):
+        out = tmp_path / "out"
+        assert run(args + ["--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_unknown_axis_flag_leaves_no_out_dir(self, tmp_path):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as info:

@@ -198,6 +198,11 @@ class TestProfilesAndTypes:
         with pytest.raises(DomainValidationError):
             BoundaryProfile(Axis.XI, [1.55, 0.0, 0.1])   # exceeds pi/2
 
+    @pytest.mark.parametrize("coeffs", [[float("nan")], [0.8, 0.0, float("nan")]])
+    def test_nan_coefficient_is_rejected(self, coeffs):
+        with pytest.raises(DomainValidationError, match="admissible band"):
+            BoundaryProfile(Axis.XI, coeffs)
+
     def test_json_roundtrip(self):
         prof = BoundaryProfile(Axis.ETA, [0.8, 0.0, 0.03])
         clone = BoundaryProfile.from_json(prof.to_json())
