@@ -9,7 +9,8 @@ Riccati forms (``modes``), the eigenvalue curves and bifurcation radii
 (``spectrum``), the tube operators (``discrete``), the deformed-tube
 torsion solver and flux (``torsion``), the linearized flux map
 (``linearize``), and the continued branches of perturbed Serrin domains
-(``branch``).  ``cli`` ties them into reproducible runs.
+(``branch``).  ``battery`` checks every stage, and ``cli`` ties them into
+reproducible runs.
 """
 
 # discrete first: it loads scipy.linalg, whose OpenBLAS worker thread spins

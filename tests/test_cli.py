@@ -149,6 +149,20 @@ class TestSolve:
         assert run(["check-linearization", "--mode", "-1", "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", [
+        None, '{"axis": "xi", "coeffs": [0.8', '[0.8, 0.0, 0.03]', '{"axis": "xi"}',
+        '{"axis": "xi", "coeffs": [0.8, "wide"]}',
+    ], ids=["missing", "malformed", "list", "no-coeffs", "non-numeric"])
+    def test_unreadable_profile_json_is_config_error(self, tmp_path, capsys, content):
+        out, pj = tmp_path / "out", tmp_path / "profile.json"
+        if content is not None:
+            pj.write_text(content)
+        assert run(["solve", "--profile-json", str(pj), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and (
+            "profile_json" in err or "profile JSON" in err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_profile_json_conflicts_with_profile_options(self, tmp_path, source):
         out = tmp_path / "out"
@@ -176,6 +190,12 @@ class TestConfigFile:
         assert run(["roots", "--config", str(cfg), "--axis", "eta",
                     "--out", str(out2)]) == 0
         assert (out2 / "roots_eta.json").exists()
+
+    def test_config_naming_a_directory_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["solve", "--config", str(tmp_path), "--out", str(out)]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -274,9 +294,22 @@ class TestTruncation:
         assert not out.exists()
 
 
+def _verify_rows(capsys, *args):
+    """Run verify; its exit code and its rows as {(check, axis): (status, detail)}."""
+    code = run(["verify", "--axis", "both", *args])
+    rows = {}
+    for line in capsys.readouterr().out.splitlines()[:-1]:
+        name, axis, status, detail = line.split(maxsplit=3)
+        rows[(name, axis)] = (status, detail)
+    return code, rows
+
+
 class TestVerify:
-    def test_clean_battery_passes(self):
-        assert run(["verify", "--axis", "xi"]) == 0
+    def test_clean_battery_passes(self, capsys):
+        code, rows = _verify_rows(capsys)
+        assert code == 0 and len(rows) == 22
+        assert {status for status, _ in rows.values()} == {"PASS"}
+        assert {name for name, _ in rows} >= {"certificate", "branch"}
 
     def test_both_axes_integrate_each_mode_curve_once(self, monkeypatch):
         # xi and eta n = 1..6: one direct and one reciprocal table each
@@ -300,8 +333,21 @@ class TestVerify:
 
     @pytest.mark.parametrize("inject", ["sigma-sign", "riccati-init",
                                         "axis-condition"])
-    def test_injected_defects_make_the_battery_fail(self, inject):
-        assert run(["verify", "--axis", "both", "--inject", inject]) == 1
+    def test_injected_defects_make_the_battery_fail(self, capsys, inject):
+        # each injection fails exactly these checks, on both axes
+        failing = {"sigma-sign": {"eigen-identity", "sigma-ordering", "sign-window"},
+                   "riccati-init": {"riccati-bounds"}, "axis-condition": {"eigen-identity"}}
+        code, rows = _verify_rows(capsys, "--inject", inject)
+        assert code == 1 and len(rows) == 22
+        assert {key for key, (status, _) in rows.items() if status == "FAIL"} == {
+            (name, axis) for name in failing[inject] for axis in ("xi", "eta")}
+
+    def test_failed_row_carries_the_error_details(self, capsys):
+        _, rows = _verify_rows(capsys, "--inject", "riccati-init")
+        message, details = rows[("riccati-bounds", "eta")][1].split(" {", 1)
+        assert message.endswith("violates the lower comparison bound at lam=0.010086")
+        details = json.loads("{" + details)
+        assert details["mode"] == ["eta", 1] and details["bound_tol"] == 1e-7
 
     def test_unknown_injection_is_config_error(self, tmp_path, capsys):
         # a config file reaches the injection table past the flag's choices
