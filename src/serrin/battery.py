@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .branch import branch_report, check_cr_hypotheses, trace_branch
+from .discrete import TubeGrid, TubeOperator
 from .errors import AnalysisError
 from .fourier import CosineSeries
 from .geometry import Axis, BoundaryProfile, ModeIndex
@@ -46,10 +47,13 @@ class Injection:
         return integrate_riccati(mode, initial_shift=shift) if shift else riccati_solution(mode)
 
     def operator(self, axis, lam, resolution):
-        shift = None
-        if self.axis_break:
-            shift = parse_resolution(resolution)[1] // 2 if Axis.coerce(axis) is Axis.XI else 0
-        return constant_operator(axis, lam, resolution, axis_shift=shift)
+        if not self.axis_break:
+            return constant_operator(axis, lam, resolution)
+        # the other axis's reflection; only the assembled oracle takes a shifted grid
+        n_t, m = parse_resolution(resolution)
+        axis = Axis.coerce(axis)
+        grid = TubeGrid(axis, n_t, m, axis_shift=m // 2 if axis is Axis.XI else 0)
+        return TubeOperator(grid, BoundaryProfile.constant(axis, lam))
 
 
 # the names ``verify --inject`` accepts, and the defect each one injects

@@ -81,9 +81,13 @@ def _load_config(path):
     return values
 
 
-def _merged(ns, defaults):
-    """Resolve option values: command line > config file > defaults."""
-    config = _load_config(ns.config)
+def _merged(ns, defaults, config=None):
+    """Resolve option values: command line > config file > defaults.
+
+    ``config`` holds the config file's keys when the caller has read it.
+    """
+    if config is None:
+        config = _load_config(ns.config)
     unknown = set(config) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -203,9 +207,9 @@ SOLVE_DEFAULTS = dict(axis="xi", lam=0.8, mode=0, amplitude=0.0,
 
 
 def cmd_solve(ns):
-    opts = _merged(ns, SOLVE_DEFAULTS)
+    config = _load_config(ns.config)
+    opts = _merged(ns, SOLVE_DEFAULTS, config)
     if opts.profile_json:
-        config = _load_config(ns.config)
         given = [key for key in ("axis", "lam", "mode", "amplitude")
                  if getattr(ns, key) is not None or key in config]
         if given:

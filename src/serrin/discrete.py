@@ -68,18 +68,22 @@ a whole number of sectors).
 
 Which operator serves which caller:
 
-- :class:`MatrixFreeTubeOperator` serves every perturbed tube, i.e.
-  ``torsion.solve_torsion`` and each branch residual and its tangents.  It
-  applies the operator node by node and solves by GMRES preconditioned
-  with the straight tube of the profile's mean radius.
+- :class:`MatrixFreeTubeOperator` serves every 2-D solve:
+  ``torsion.solve_torsion``, each branch residual and its tangents, and
+  ``linearize.constant_operator`` (the criterion-2 leakage check and
+  ``serrin verify``'s eigen-identity check).  It applies the operator node
+  by node and solves by GMRES preconditioned with the straight tube of the
+  profile's mean radius, which for a straight tube is the operator itself
+  up to roundoff: one Krylov iteration per solve, while the leakage is
+  still measured on the node-by-node apply.
 - :class:`StraightTubeOperator` serves the bifurcation certificate, the
   s = 0 branch point, and the preconditioner above.
 - :class:`TubeOperator`, the sparse 2-D assembly with its band LU, both
-  built on first use, is the oracle: ``linearize.constant_operator`` (the
-  criterion-2 leakage check and ``serrin verify``'s eigen-identity and
-  axis-condition checks) and the tests that compare the other two with it.
-  Its residual and row norm read the assembled matrix, so its own check
-  does not rest on its factors.
+  built on first use, is the oracle: ``serrin verify``'s axis-condition
+  injection, whose shifted reflection the straight-tube preconditioner
+  refuses, and the tests that compare the other two with it.  Its
+  residual and row norm read the assembled matrix, so its own check does
+  not rest on its factors.
 """
 
 from functools import cached_property
@@ -396,6 +400,8 @@ class _GridOperator:
 class TubeOperator(_GridOperator):
     """Assembled Laplace-Beltrami operator of ``profile`` on ``grid``: the oracle.
 
+    The route of ``serrin verify``'s axis-condition injection and of the
+    tests that check the matrix-free and the per-mode operators against it.
     Any :class:`TubeGrid` serves, injected axis shifts included.  Rows are
     the interior collocation equations; columns referencing the Dirichlet
     boundary t = 1 are split off into ``boundary_matrix``, so that any

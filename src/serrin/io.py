@@ -60,16 +60,31 @@ def _row_template(kinds):
     return ",".join(map(spec, kinds))
 
 
+def _quoted(cell):
+    """A cell as ``csv.writer`` writes it under ``QUOTE_MINIMAL``."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def write_csv(path, header, rows):
     """Write header and rows; a row, formatted by one ``%``, is the bytes of
-    ``",".join(map(fmt, row))``."""
-    lines = [",".join(header)]
-    for row in rows:
-        row = tuple(row)
-        # the key is built from a list: tuple(map(...)) allocates it oversized
-        # and shrinks it, so CPython's tuple free list keeps every freed key
-        lines.append(_row_template(tuple([type(x) for x in row])) % row)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    ``",".join(map(fmt, row))``, except that a text cell holding ``,``,
+    ``"`` or a line break is quoted as ``csv.writer`` quotes it."""
+    rows = [tuple(row) for row in rows]
+    # the key is built from a list: tuple(map(...)) allocates it oversized
+    # and shrinks it, so CPython's tuple free list keeps every freed key
+    lines = [",".join(header)] + [_row_template(tuple([type(x) for x in row])) % row
+                                  for row in rows]
+    text = "\n".join(lines) + "\n"
+    # a number never holds a comma, a quote or a line break, so the file
+    # holds exactly its separators unless a text cell needs quotes
+    separators = len(header) - 1 + sum(map(len, rows)) - len(rows)
+    if (text.count(",") != separators or text.count("\n") != len(lines)
+            or '"' in text or "\r" in text):
+        text = "\n".join([lines[0]] + [",".join([_quoted(fmt(x)) for x in row])
+                                        for row in rows]) + "\n"
+    atomic_write_text(path, text)
 
 
 def write_json(path, payload):

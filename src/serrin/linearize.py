@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import TubeGrid, TubeOperator
+from .discrete import MatrixFreeTubeOperator, TubeGrid
 from .errors import AnalysisError, DomainValidationError
 from .fourier import CosineSeries, cosine_coefficients
 from .geometry import HALF_PI, Axis, BoundaryProfile, ModeIndex
@@ -40,18 +40,22 @@ def _as_series(w):
     return CosineSeries(np.asarray(w, dtype=float))
 
 
-def constant_operator(axis, lam, resolution=DEFAULT_RESOLUTION, axis_shift=None):
-    """Assembled operator of the straight tube of radius ``lam``.
+def constant_operator(axis, lam, resolution=DEFAULT_RESOLUTION):
+    """Matrix-free operator of the straight tube of radius ``lam``.
 
-    The caller owns it: one factorization serves every boundary datum at
-    the same radius when the operator is passed as ``operator=`` to
-    :func:`apply_L` or :func:`harmonic_extend`.  The matrix and its
-    factors are built at the first solve, so a caller that rebinds one name
-    to the next radius's operator holds one factorization at a time.
+    A :class:`~serrin.discrete.MatrixFreeTubeOperator`: it applies the 2-D
+    operator node by node and solves by GMRES, preconditioned by the
+    per-mode :class:`~serrin.discrete.StraightTubeOperator` of the same
+    tube.  For a constant profile the preconditioner is the operator itself
+    up to roundoff, so a solve stops after one Krylov iteration.  GMRES
+    stops only on the true residual of the node-by-node apply, so a coupling
+    of angle modes in that apply would cost more iterations and show in the
+    solution.  The caller owns it: one preconditioner factorization serves
+    every boundary datum at the same radius when the operator is passed as
+    ``operator=`` to :func:`apply_L` or :func:`harmonic_extend`.
     """
     n_t, m = parse_resolution(resolution)
-    return TubeOperator(TubeGrid(axis, n_t, m, axis_shift=axis_shift),
-                        BoundaryProfile.constant(axis, lam))
+    return MatrixFreeTubeOperator(TubeGrid(axis, n_t, m), BoundaryProfile.constant(axis, lam))
 
 
 @dataclass
@@ -72,11 +76,14 @@ class HarmonicExtension:
 def harmonic_extend(lam, w, axis=Axis.XI, resolution=None, operator=None):
     """Harmonic extension of single-angle boundary data into the tube.
 
-    By default this goes through the two-dimensional assembly of the
-    discrete operator the torsion solver applies matrix-free, a
-    :class:`~serrin.discrete.TubeOperator` (``DEFAULT_RESOLUTION`` for
-    None), so callers that pass one (or none) genuinely measure its
-    cross-mode leakage.  A :class:`~serrin.discrete.StraightTubeOperator`
+    By default this goes through :func:`constant_operator`
+    (``DEFAULT_RESOLUTION`` for None), the matrix-free 2-D operator that the
+    torsion solver applies, whose GMRES solve and scaled residual both
+    apply it node by node, so callers that pass one (or none) genuinely
+    measure its cross-mode leakage.  Any operator with the same ``solve``
+    and residual serves, the assembled
+    :class:`~serrin.discrete.TubeOperator` included.  A
+    :class:`~serrin.discrete.StraightTubeOperator`
     passed as ``operator`` gives the same field from per-mode radial solves,
     which cannot leak by construction.  Built on a grid of symmetry order
     j, it solves on the sector [0, 2 pi/j), which carries data whose

@@ -1,10 +1,11 @@
+import csv
 import inspect
 import json
 
 import numpy as np
 import pytest
 
-from serrin import modes
+from serrin import cli, modes
 from serrin.cli import main
 from serrin.modes import integrate_riccati, riccati_solution
 
@@ -178,6 +179,27 @@ class TestSolve:
             args += ["--config", str(cfg)]
         assert run(args) == 2
         assert not out.exists()
+
+    def test_config_file_is_read_once(self, tmp_path, monkeypatch, capsys):
+        # the profile conflict check reuses the keys that resolved the options
+        pj, cfg = tmp_path / "profile.json", tmp_path / "run.cfg"
+        pj.write_text(json.dumps({"axis": "xi", "coeffs": [0.8, 0.0, 0.02]}))
+        cfg.write_text("resolution = 32x16\n")
+        reads = []
+        original = cli._read
+
+        def counted(path, what):
+            reads.append(what)
+            return original(path, what)
+        monkeypatch.setattr(cli, "_read", counted)
+        args = ["solve", "--config", str(cfg), "--profile-json", str(pj)]
+        assert run(args + ["--out", str(tmp_path / "ok")]) == 0
+        assert reads == ["config file", "profile_json"]
+        reads.clear()
+        cfg.write_text("resolution = 32x16\nlam = 0.8\n")
+        assert run(args + ["--out", str(tmp_path / "clash")]) == 2
+        assert reads == ["config file"]
+        assert "conflicts with ['lam']" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -357,6 +379,19 @@ class TestVerify:
         assert "unknown injection 'axis'" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             run(["verify", "--inject", "axis"])
+
+    def test_failed_rows_keep_their_columns_in_the_matrix(self, tmp_path):
+        # a FAIL row's detail holds commas; the cell is quoted as csv.writer quotes it
+        out = tmp_path / "out"
+        assert run(["verify", "--axis", "both", "--inject", "riccati-init",
+                    "--out", str(out)]) == 1
+        with open(out / "verify_matrix.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["check", "axis", "status", "detail"] and len(rows) == 23
+        assert {len(row) for row in rows} == {4}
+        failed = [row for row in rows if row[2] == "FAIL"]
+        assert [row[:2] for row in failed] == [["riccati-bounds", "xi"], ["riccati-bounds", "eta"]]
+        assert all("," in row[3] for row in failed)
 
     def test_matrix_written_when_out_given(self, tmp_path):
         out = tmp_path / "out"

@@ -12,7 +12,6 @@ from serrin.discrete import (HALF_WIDTH, MatrixFreeTubeOperator, RadialStencils,
                              radial_grid)
 from serrin.errors import ConfigError, NumericalError
 from serrin.geometry import Axis, BoundaryProfile
-from serrin.linearize import constant_operator
 
 from oracles import fd2_grid, row_loop_entries
 
@@ -298,13 +297,13 @@ class TestAssembledOracle:
         assert op.lu.nnz == op.lu.band.size
 
     def test_next_operator_allocates_no_second_band(self):
-        # criterion 2 rebinds one name to the next radius's operator, so the
-        # next one must not assemble while the factored one is alive
-        op = constant_operator(Axis.XI, 0.8)
+        # a caller that rebinds one name to the next radius's operator must
+        # not assemble the next one while the factored one is alive
+        op = TubeOperator(TubeGrid(Axis.XI, 256, 48), BoundaryProfile.constant(Axis.XI, 0.8))
         op.solve(0.0, 1.0)
         tracemalloc.start()
         try:
-            nxt = constant_operator(Axis.XI, 0.9)
+            nxt = TubeOperator(TubeGrid(Axis.XI, 256, 48), BoundaryProfile.constant(Axis.XI, 0.9))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -344,7 +343,7 @@ class TestAssembledOracle:
 # (axis, profile, resolution, angle scheme, injected axis shift, symmetry):
 # both axes, both schemes, symmetry 1, 2 and 3, straight (no cross block)
 # and perturbed profiles, the shifts of serrin verify's axis-condition
-# injection at its 48x16, and the criterion-2 256x48
+# injection at its 48x16, and the library default 256x48
 EMISSION_CASES = [
     (Axis.XI, [0.8], (256, 48), "fourier", None, 1),
     (Axis.ETA, [1.0], (256, 48), "fourier", None, 1),

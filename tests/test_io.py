@@ -1,3 +1,6 @@
+import csv
+from io import StringIO
+
 import numpy as np
 import pytest
 
@@ -35,8 +38,18 @@ def test_write_csv_rows(tmp_path):
     assert path.read_bytes() == b"axis,n,value\nxi,2,0.10000000000000001\n"
 
 
+def _written(row):
+    """The line ``csv.writer`` writes for the fmt of each cell: the bytes'
+    oracle.  Under its default line terminator it quotes a cell only when
+    the cell holds a comma, a quote, a carriage return or a newline."""
+    buf = StringIO()
+    csv.writer(buf).writerow([fmt(x) for x in row])
+    return buf.getvalue().removesuffix("\r\n")
+
+
 def test_write_csv_rows_are_the_bytes_of_fmt(tmp_path):
     # fmt defines the bytes; write_csv formats a whole row in one operation
+    # and quotes the text cells csv.writer would quote
     sweep_row = ("xi", 2, 0.1, -0.0, float("nan"))
     rows = [(value,) for value, _ in FMT_CASES] + [
         sweep_row,
@@ -45,15 +58,19 @@ def test_write_csv_rows_are_the_bytes_of_fmt(tmp_path):
         ("xi", 3, np.float32(0.1), np.True_, np.float64(-0.0)),
         sweep_row,                                           # a row shape seen before
         ("xi", "n/a", "%s", "1,5", ""),                      # str in every column
+        ('say "hi"', 0.5, "two\nlines", "cr\r", 2),          # quotes and line breaks
+        ("1,5", 0.5, "", "plain", ","),
     ]
     path = tmp_path / "rows.csv"
     for row in rows:
         write_csv(str(path), ("a",) * len(row), [row])
-        expected = ",".join(("a",) * len(row)) + "\n" + ",".join(map(fmt, row)) + "\n"
+        expected = ",".join(("a",) * len(row)) + "\n" + _written(row) + "\n"
         assert path.read_bytes() == expected.encode(), row
+        with open(path, newline="") as handle:
+            assert list(csv.reader(handle))[1] == [fmt(x) for x in row]
     write_csv(str(path), ("a", "b", "c", "d", "e"), [r for r in rows if len(r) == 5])
-    expected = ["a,b,c,d,e"] + [",".join(map(fmt, r)) for r in rows if len(r) == 5]
-    assert path.read_text() == "\n".join(expected) + "\n"
+    expected = ["a,b,c,d,e"] + [_written(r) for r in rows if len(r) == 5]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
 def test_torsion_field_files_are_the_bytes_of_fmt(tmp_path):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from serrin import torsion
-from serrin.discrete import MatrixFreeTubeOperator, StraightTubeOperator, TubeGrid
+from serrin import discrete, torsion
+from serrin.discrete import (MatrixFreeTubeOperator, StraightTubeOperator, TubeGrid,
+                             TubeOperator)
 from serrin.errors import ConfigError, DomainValidationError, NumericalError
 from serrin.fourier import CosineSeries
 from serrin.geometry import Axis, BoundaryProfile, ModeIndex
@@ -109,6 +112,52 @@ class TestApplyL:
         assert np.max(np.abs(la.samples)) < 1e-6
 
 
+class TestConstantOperator:
+    """The matrix-free straight tube: its cost, and that its leakage still measures."""
+
+    @pytest.mark.parametrize("axis", [XI, ETA])
+    @pytest.mark.parametrize("lam", [0.05, 0.8, 1.55])
+    @pytest.mark.parametrize("resolution", [(64, 64), (256, 48)])
+    def test_every_solve_takes_at_most_two_krylov_iterations(self, axis, lam, resolution):
+        # the straight-tube preconditioner is the operator itself up to roundoff
+        op = constant_operator(axis, lam, resolution)
+        for n in [*range(9), resolution[1] // 2]:
+            apply_L(lam, CosineSeries.basis(n), axis=axis, operator=op)
+            assert op.iterations <= 2, f"{axis} lam={lam} {resolution} n={n}"
+
+    def test_one_radius_at_the_default_grid_stays_below_30_mb(self):
+        # GMRES's preallocated basis is 19.8 MB of it; the assembled band
+        # and its factors took 71.6 MB
+        tracemalloc.start()
+        try:
+            op = constant_operator(XI, 0.8)
+            apply_L(0.8, CosineSeries.basis(2), axis=XI, operator=op)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
+
+    @pytest.mark.parametrize("axis", [XI, ETA])
+    @pytest.mark.parametrize("coupling", [np.cos, np.sin], ids=["cosines", "sines"])
+    def test_a_mode_coupling_in_the_apply_shows_as_leakage(self, monkeypatch, axis, coupling):
+        # the fast path against the defect it must still see: a potential
+        # 1e-5 cos(a) (or sin(a)) couples mode n to the cosines (sines) of
+        # n - 1 and n + 1, about 1e-9 of the operator's row norm
+        lam, n, resolution = 0.8, 2, (64, 32)
+        clean = apply_L(lam, CosineSeries.basis(n), axis=axis,
+                        operator=constant_operator(axis, lam, resolution))
+        assert clean.leakage({n}) < 1e-8
+        apply = discrete._GridOperator.apply
+
+        def coupled(op, u, boundary_values):
+            u = np.asarray(u, dtype=float).reshape(op.n_t, op.m_angles)
+            return apply(op, u, boundary_values) + 1e-5 * coupling(op.angles) * u
+        monkeypatch.setattr(discrete._GridOperator, "apply", coupled)
+        leaky = apply_L(lam, CosineSeries.basis(n), axis=axis,
+                        operator=constant_operator(axis, lam, resolution))
+        assert leaky.leakage({n}) > 1e-8
+
+
 def _discrete_sigma(la, n):
     """Cosine coefficient n of apply_L samples, the Nyquist mode included."""
     m = la.angles.size
@@ -123,7 +172,7 @@ class TestStraightTubeOperator:
     def test_matches_the_two_dimensional_operator(self, axis, lam):
         for (n_t, m), n_max in (((64, 64), 16), ((256, 48), 8)):
             fast = StraightTubeOperator(TubeGrid(axis, n_t, m), lam)
-            slow = constant_operator(axis, lam, (n_t, m))
+            slow = TubeOperator(TubeGrid(axis, n_t, m), BoundaryProfile.constant(axis, lam))
             row_norm = np.abs(slow.matrix).sum(axis=1).max()
             assert abs(fast.row_norm - row_norm) <= 1e-12 * row_norm
             for n in [*range(n_max + 1), m // 2]:
