@@ -75,7 +75,13 @@ Which operator serves which caller:
   by node and solves by GMRES preconditioned with the straight tube of the
   profile's mean radius, which for a straight tube is the operator itself
   up to roundoff: one Krylov iteration per solve, while the leakage is
-  still measured on the node-by-node apply.
+  still measured on the node-by-node apply.  A solve of k iterations makes
+  k preconditioner solves and k applies: Dirichlet data enter through
+  ``boundary_lift``, written on the last ``HALF_WIDTH`` radial rows (the
+  ones whose stencils reach t = 1), and GMRES keeps the preconditioned
+  vectors it applies, so the solution needs no further preconditioner
+  solve.  The Krylov rows are the operator's own, grown on first need and
+  reused by its later solves.
 - :class:`StraightTubeOperator` serves the bifurcation certificate, the
   s = 0 branch point, and the preconditioner above.
 - :class:`TubeOperator`, the sparse 2-D assembly with its band LU, both
@@ -236,6 +242,14 @@ class RadialStencils:
                                self.rows[:, None] * m + (karr + axis_shift) % m,
                                self.rows[:, None] * m + karr)
 
+        # the rows whose stencils read the boundary node t = 1, the last
+        # HALF_WIDTH, with the weights of that node
+        at_boundary = self.rows[self.nodes] == n_t
+        self.boundary_rows = slice(int(np.argmax(at_boundary.any(axis=1))), n_t)
+        self.boundary_w1, self.boundary_w2 = (
+            np.where(at_boundary, w, 0.0)[self.boundary_rows].sum(axis=1)
+            for w in (self.w1, self.w2))
+
         # one-sided derivative stencil at t = 1 matching the interior order
         q = min(2 * hw + 2, n_t + 1)
         nodes = np.concatenate([t[-(q - 1):], [1.0]])
@@ -386,6 +400,23 @@ class _GridOperator:
         u_t, u_tt, u_aa, u_ta = self.derivatives(u, boundary_values)
         gtt, gta, gaa, ct = self._coeffs
         return gtt * u_tt + 2.0 * gta * u_ta + gaa * u_aa + ct * u_t
+
+    def boundary_lift(self, boundary_values):
+        """``apply(zeros, boundary_values)``: the part of the operator on t = 1.
+
+        Only the rows whose stencils reach t = 1 (``stencils.boundary_rows``,
+        the last ``HALF_WIDTH``) are nonzero, and only they are formed, from
+        the stencil weights of the boundary node; the other rows are zeros.
+        """
+        bc = _as_grid(boundary_values, (self.m_angles,))
+        st = self._stencils
+        rows = st.boundary_rows
+        gtt, gta, _, ct = (np.broadcast_to(f, (self.n_t, self.m_angles))[rows]
+                           for f in self._coeffs)
+        u_t, u_tt = st.boundary_w1[:, None] * bc, st.boundary_w2[:, None] * bc
+        out = np.zeros((self.n_t, self.m_angles))
+        out[rows] = gtt * u_tt + 2.0 * gta * (u_t @ self._d1a.T) + ct * u_t
+        return out
 
     def scaled_residual(self, u, rhs, boundary_values):
         """max|A u - rhs| / (row_norm max|u| + max|rhs|), A applied node by node.
@@ -665,9 +696,12 @@ class StraightTubeOperator(_GridOperator):
         # array is the Fortran layout LAPACK works on, so the factors need
         # no copy.  Below a block's last columns the next block holds zeros,
         # so no pivot leaves its block and the factors are the mode factors.
+        # The mode bands are written in place: a temporary of their size
+        # would be fresh pages for every operator.
         stacked = np.empty((k.size, n_t, direct.shape[0]))
         bands = stacked.transpose(0, 2, 1)
-        bands[...] = direct + sign[:, None, None] * mirrored
+        np.multiply(sign[:, None, None], mirrored, out=bands)
+        bands += direct
         bands[:, kl + ku] += eigen[:, None] * gaa
         j = self.grid.symmetry
 
@@ -703,10 +737,21 @@ class MatrixFreeTubeOperator(_GridOperator):
     node from the assembly's stencils, so it equals ``matrix @ u +
     boundary_matrix @ boundary_values`` of the assembled operator.  Solves
     run GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986),
-    right-preconditioned by the straight tube of the profile's mean radius,
-    so the residual it minimizes is the true one.  ``iterations`` is the
-    Krylov iteration count of the latest solve (the most over its columns
-    for ``solve_interior``).
+    right-preconditioned by the straight tube P of the profile's mean
+    radius, so the residual it minimizes is the true one.
+
+    Work per solve: ``solve`` moves nonzero Dirichlet data to the right-hand
+    side with :meth:`boundary_lift`, on the rows that reach t = 1 only, and
+    skips it for zero data (every torsion solve).  A solve of k Krylov
+    iterations then makes k preconditioner solves and k applies: each
+    z_k = P^-1 v_k is kept and the solution is Z y, as flexible GMRES
+    stores it (Saad, SIAM J. Sci. Comput. 14, 1993), which with a fixed P
+    is the same iteration without a last preconditioner solve.  The
+    operator owns the Krylov workspace, the rows of V and Z: allocated on
+    first need, grown by doubling up to ``KRYLOV_MAX_ITER + 1`` rows, and
+    reused by every later solve and ``solve_interior`` column.
+    ``iterations`` is the Krylov iteration count of the latest solve (the
+    most over its columns for ``solve_interior``).
     """
 
     def __init__(self, grid, profile):
@@ -716,11 +761,15 @@ class MatrixFreeTubeOperator(_GridOperator):
         self._coeffs = tuple(np.broadcast_to(f, (self.n_t, self.m_angles))
                              for f in (gtt, gta, gaa, ct))
         self.iterations = 0
+        self._krylov = np.empty((2, 0, self.n_t * self.m_angles))
 
     def solve(self, rhs, boundary_values):
         """Solve A u = rhs with Dirichlet data on t = 1, as TubeOperator.solve."""
         shape = (self.n_t, self.m_angles)
-        b = _as_grid(rhs, shape) - self.apply(np.zeros(shape), boundary_values)
+        b = _as_grid(rhs, shape)
+        bc = _as_grid(boundary_values, (self.m_angles,))
+        if np.any(bc):
+            b = b - self.boundary_lift(bc)
         u, self.iterations = self._gmres(b.ravel())
         if not np.all(np.isfinite(u)):
             raise NumericalError("linear solve produced non-finite values")
@@ -739,6 +788,16 @@ class MatrixFreeTubeOperator(_GridOperator):
             self.iterations = max(self.iterations, its)
         return out
 
+    def _workspace(self, rows):
+        """The Krylov rows (V, Z), grown by doubling to hold at least ``rows``."""
+        have = self._krylov.shape[1]
+        if have < rows:
+            grown = np.empty((2, min(max(2 * have, rows), KRYLOV_MAX_ITER + 1),
+                              self._krylov.shape[2]))
+            grown[:, :have] = self._krylov
+            self._krylov = grown
+        return self._krylov
+
     def _gmres(self, b):
         """One restart-free GMRES cycle on a flat right-hand side: (x, iterations).
 
@@ -755,19 +814,16 @@ class MatrixFreeTubeOperator(_GridOperator):
             # as a direct solve would; the caller's finiteness check reports it
             return np.full(b.size, np.nan), 0
         shape = (self.n_t, self.m_angles)
-
-        def precondition(v):
-            return self._preconditioner.solve(v.reshape(shape), 0.0).ravel()
-
         cap = KRYLOV_MAX_ITER
-        basis = np.empty((cap + 1, b.size))
         hess = np.zeros((cap + 1, cap))
         rot = np.zeros((cap, 2))
         g = np.zeros(cap + 1)
         g[0] = beta
+        basis, z = self._workspace(1)
         basis[0] = b / beta
         for k in range(cap):
-            w = self.apply(precondition(basis[k]).reshape(shape), 0.0).ravel()
+            z[k] = self._preconditioner.solve(basis[k].reshape(shape), 0.0).ravel()
+            w = self.apply(z[k].reshape(shape), 0.0).ravel()
             for _ in range(2):
                 h = basis[:k + 1] @ w
                 w -= h @ basis[:k + 1]
@@ -783,7 +839,8 @@ class MatrixFreeTubeOperator(_GridOperator):
             g[k], g[k + 1] = rot[k, 0] * g[k], -rot[k, 1] * g[k]
             if abs(g[k + 1]) <= KRYLOV_RTOL * beta:
                 y = solve_triangular(hess[:k + 1, :k + 1], g[:k + 1])
-                return precondition(y @ basis[:k + 1]), k + 1
+                return y @ z[:k + 1], k + 1
+            basis, z = self._workspace(k + 2)
             basis[k + 1] = w / norm
         err = NumericalError(
             f"GMRES residual {abs(g[cap]) / beta:.3e} above {KRYLOV_RTOL:.0e} "

@@ -47,11 +47,14 @@ def constant_operator(axis, lam, resolution=DEFAULT_RESOLUTION):
     operator node by node and solves by GMRES, preconditioned by the
     per-mode :class:`~serrin.discrete.StraightTubeOperator` of the same
     tube.  For a constant profile the preconditioner is the operator itself
-    up to roundoff, so a solve stops after one Krylov iteration.  GMRES
-    stops only on the true residual of the node-by-node apply, so a coupling
-    of angle modes in that apply would cost more iterations and show in the
-    solution.  The caller owns it: one preconditioner factorization serves
-    every boundary datum at the same radius when the operator is passed as
+    up to roundoff, so a solve stops after one Krylov iteration: one
+    preconditioner solve and one node-by-node apply, with the boundary data
+    lifted on the rows next to t = 1, and :func:`harmonic_extend`'s residual
+    is a second apply.  GMRES stops only on the true residual of the
+    node-by-node apply, so a coupling of angle modes in that apply would
+    cost more iterations and show in the solution.  The caller owns it: one
+    preconditioner factorization and one Krylov workspace serve every
+    boundary datum at the same radius when the operator is passed as
     ``operator=`` to :func:`apply_L` or :func:`harmonic_extend`.
     """
     n_t, m = parse_resolution(resolution)

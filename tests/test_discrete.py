@@ -250,6 +250,40 @@ class TestSectorGrid:
             TubeGrid(Axis.XI, 16, m, symmetry=j)
 
 
+# (axis, profile, resolution, symmetry): a perturbed profile on the full
+# grid of each axis, the j = 2 sector of each axis, and the eta j = 3
+# sector, whose reflection moves half a sector
+LIFT_CASES = [
+    (Axis.XI, ROW_NORM_PROFILES[1], (40, 32), 1),
+    (Axis.ETA, [0.9, 0.03, 0.05, 0.0, 0.01], (40, 32), 1),
+    (Axis.XI, SECTOR_PROFILES[2], (64, 64), 2),
+    (Axis.ETA, SECTOR_PROFILES[2], (64, 64), 2),
+    (Axis.ETA, SECTOR_PROFILES[3], (64, 66), 3),
+]
+
+
+class TestBoundaryLift:
+    """The Dirichlet lift on the rows that reach t = 1 against the full apply."""
+
+    @pytest.mark.parametrize("axis, coeffs, resolution, j", LIFT_CASES)
+    def test_lift_is_the_apply_on_zero_interior_values(self, axis, coeffs, resolution, j):
+        grid = TubeGrid(axis, *resolution, symmetry=j)
+        n_t, m = grid.n_t, grid.m_angles
+        bc = np.random.default_rng(n_t * m).standard_normal(m)
+        for op in (MatrixFreeTubeOperator(grid, BoundaryProfile(axis, coeffs)),
+                   StraightTubeOperator(grid, coeffs[0])):
+            want = op.apply(np.zeros((n_t, m)), bc)
+            got = op.boundary_lift(bc)
+            # the rows whose stencils reach t = 1 are the last HALF_WIDTH,
+            # and the lift writes nothing else
+            assert np.array_equal(np.flatnonzero(np.any(want, axis=1)),
+                                  np.arange(n_t - HALF_WIDTH, n_t))
+            assert np.array_equal(got[:n_t - HALF_WIDTH], want[:n_t - HALF_WIDTH])
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.array_equal(op.boundary_lift(np.zeros(m)), np.zeros((n_t, m)))
+            assert np.array_equal(op.boundary_lift(0.0), np.zeros((n_t, m)))
+
+
 # (axis, profile, resolution, angle scheme, injected axis shift): each size,
 # both axes, straight and perturbed (cross terms), both schemes, and the
 # shift of serrin verify's axis-condition injection

@@ -1,10 +1,12 @@
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from serrin import torsion
-from serrin.discrete import KRYLOV_MAX_ITER, MatrixFreeTubeOperator, TubeGrid, TubeOperator
+from serrin.discrete import (KRYLOV_MAX_ITER, MatrixFreeTubeOperator, StraightTubeOperator,
+                             TubeGrid, TubeOperator, _GridOperator)
 from serrin.errors import ConfigError, DomainValidationError, NumericalError
 from serrin.geometry import (Axis, BoundaryProfile, boundary_area, laplacian_coefficients,
                              volume)
@@ -195,6 +197,35 @@ class TestMatrixFreeOperator:
         op = MatrixFreeTubeOperator(TubeGrid(axis, 64, 64), BoundaryProfile.constant(axis, 0.8))
         torsion_field(op)
         assert 1 <= op.iterations <= 2
+
+    @pytest.mark.parametrize("axis", [Axis.XI, Axis.ETA])
+    def test_a_solve_makes_one_preconditioner_solve_per_iteration(self, axis):
+        op = MatrixFreeTubeOperator(TubeGrid(axis, 40, 32), BoundaryProfile(axis, PROFILES[0]))
+        solve, apply = StraightTubeOperator.solve, _GridOperator.apply
+        for bc in (0.0, 0.5 + np.cos(op.angles)):
+            with mock.patch.object(StraightTubeOperator, "solve", autospec=True,
+                                   side_effect=solve) as solves, \
+                    mock.patch.object(_GridOperator, "apply", autospec=True,
+                                      side_effect=apply) as applies:
+                op.solve(-1.0, bc)
+            assert op.iterations > 1
+            assert solves.call_count == applies.call_count == op.iterations
+
+    @pytest.mark.parametrize("axis", [Axis.XI, Axis.ETA])
+    def test_solves_on_one_operator_share_its_krylov_workspace(self, axis):
+        op = MatrixFreeTubeOperator(TubeGrid(axis, 40, 32), BoundaryProfile(axis, PROFILES[0]))
+        assert op._krylov.size == 0
+        # the torsion solve takes the most iterations (14 xi, 16 eta), so
+        # the later solves and columns fit the rows it grew
+        op.solve(-1.0, 0.0)
+        workspace, most = op._krylov, op.iterations
+        op.solve(0.0, 0.5 + np.cos(op.angles))
+        most = max(most, op.iterations)
+        op.solve_interior(np.random.default_rng(7).standard_normal((op.n_t * op.m_angles, 3)))
+        most = max(most, op.iterations)
+        assert op._krylov is workspace
+        # V and Z, each doubled from one row until it holds every iteration
+        assert most <= workspace.shape[1] <= 2 * (most + 1)
 
     def test_unpreconditioned_solve_fails_with_its_context(self):
         op = MatrixFreeTubeOperator(TubeGrid(Axis.ETA, 40, 32),
