@@ -22,35 +22,37 @@ angle grid (a :class:`~serrin.discrete.TubeGrid` of symmetry order j).  On
 a grid of order 1 the same solver keeps every mode 1..truncation: that is
 the full-grid solve, which the tests keep as the oracle.
 
-Near lambda_j the linearized flux map is the
-mode-diagonal L_lambda plus O(s) (Crandall and Rabinowitz, J. Funct. Anal.
-8, 1971), so each point starts with chord steps on the leading-order
-Lyapunov-Schmidt Jacobian, built from the certificate's discrete
-eigenvalues without a PDE solve (the chord method: Kelley, *Iterative
-Methods for Linear and Nonlinear Equations*, SIAM 1995, section 5.4).  A
-chord step that does not contract the residual by ``CHORD_CONTRACTION`` is
-discarded, and the point goes on with the exact tangent-linear Jacobian of
-the discrete flux map (:func:`serrin.torsion.flux_tangents`), built once at
-the current iterate.  The mean flux is left
-free (a constant flux offset is absorbed by lambda, so the mean-mode
-equation and unknown are both dropped).  Before tracing, the bifurcation
-hypotheses are certified numerically on the full grid, every mode up to
-the truncation: trivial branch, one-dimensional kernel, spectral gap, and
-transversal eigenvalue crossing.
+Near lambda_j the linearized flux map is the mode-diagonal L_lambda plus
+O(s) (Crandall and Rabinowitz, J. Funct. Anal. 8, 1971), so each point
+starts with chord steps on the leading-order Lyapunov-Schmidt Jacobian,
+built from the discrete eigenvalues of the straight tube lambda_j without
+a PDE solve (the chord method: Kelley, *Iterative Methods for Linear and
+Nonlinear Equations*, SIAM 1995, section 5.4).  A chord step that does not
+contract the residual by ``CHORD_CONTRACTION`` is discarded, and the point
+goes on with the exact tangent-linear Jacobian of the discrete flux map
+(:func:`serrin.torsion.flux_tangents`), built once at the current iterate.
+The mean flux is left free (a constant flux offset is absorbed by lambda,
+so the mean-mode equation and unknown are both dropped).  Before tracing,
+the bifurcation hypotheses are certified numerically on the full grid,
+every mode up to the truncation: trivial branch, one-dimensional kernel,
+spectral gap, and transversal eigenvalue crossing, all from one straight
+tube lambda_j.
 """
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
 from .discrete import MatrixFreeTubeOperator, StraightTubeOperator, TubeGrid
 from .errors import AnalysisError, DomainValidationError, NumericalError
 from .fourier import CosineSeries, cosine_coefficients
-from .geometry import BoundaryProfile, ModeIndex, boundary_area, volume
+from .geometry import (BoundaryProfile, ModeIndex, _as_int, boundary_area,
+                       laplacian_coefficient_values, volume)
 from .linearize import apply_L
 from .spectrum import find_lambda_n, sigma_prime_closed_form
-from .torsion import (TorsionField, flux_tangents, mean_flux, parse_resolution,
-                      serrin_defect, torsion_field)
+from .torsion import (COMPLEX_STEP, flux_tangents, mean_flux, parse_resolution, serrin_defect,
+                      torsion_field)
 
 __all__ = ["CRCertificate", "BranchPoint", "BranchRun", "BranchReport",
            "check_cr_hypotheses", "trace_branch", "branch_report"]
@@ -61,11 +63,9 @@ SPHERE_VOLUME = 2.0 * np.pi ** 2
 # 0.3 slow chord steps used up MAX_NEWTON on the eta branch at s = 0.15
 CHORD_CONTRACTION = 0.1
 # the certificate: a discrete eigenvalue below KERNEL_TOL is in the kernel,
-# every other one must exceed GAP_FLOOR, and the transversality slope is a
-# central difference with step SLOPE_STEP in lambda
+# and every other one must exceed GAP_FLOOR
 KERNEL_TOL = 1e-6
 GAP_FLOOR = 1e-2
-SLOPE_STEP = 1e-4
 # a branch point is solved when the max-norm residual of its projected
 # equations is at most NEWTON_TOL, within MAX_NEWTON accepted steps
 NEWTON_TOL = 1e-10
@@ -86,25 +86,59 @@ class CRCertificate:
     closed_form_slope: float
     passed: bool
     details: dict = field(default_factory=dict)
-    # torsion field of the straight tube lambda_j at details["resolution"],
-    # the s = 0 point of a branch traced at that resolution
-    lambda_field: TorsionField = field(default=None, repr=False, compare=False)
 
 
 def _discrete_sigmas(operator, modes):
     """sigma_m for m in ``modes`` at a straight-tube operator's radius, NaN at the other m.
 
-    On a grid of symmetry order j, ``modes`` must be multiples of j.
+    The operator is mode-diagonal: one harmonic extension of the sum of the
+    cos(m .) gives them all.  On a grid of order j, ``modes`` are multiples of j.
     """
-    lam, axis = operator.profile.coeffs[0], operator.grid.axis
-    out = np.full(max(modes) + 1, np.nan)
-    for m in modes:
-        la = apply_L(lam, CosineSeries.basis(m), axis=axis, operator=operator)
-        out[m] = la.series.coefficient(m)
+    modes = list(modes)
+    data = np.zeros(max(modes) + 1)
+    data[modes] = 1.0
+    la = apply_L(operator.profile.coeffs[0], CosineSeries(data), axis=operator.grid.axis,
+                 operator=operator)
+    out = np.full(data.size, np.nan)
+    out[modes] = la.series.coeffs[modes]
     return out
 
 
+def _transversality_slope(operator, j):
+    """d sigma_j / d lambda of the discrete operator, at a straight-tube operator's radius.
+
+    sigma_j = q tau - 1/(2 cos^2 lambda), q = tan(lambda)/(2 lambda), with
+    tau the mode-j trace coefficient of the extension v of cos(j .).  A dv =
+    -(d_lambda A) v, zero Dirichlet data, with the coefficient derivatives by
+    complex step as in :func:`serrin.torsion.flux_tangents`; both solves use
+    the operator's factors.  Then d sigma_j = q' tau + q dtau - sin/cos^3.
+    """
+    lam, h = float(operator.profile.coeffs[0]), COMPLEX_STEP
+    bc = np.cos(j * operator.angles)
+    v = operator.solve(0.0, bc)
+    v_t, v_tt, v_aa, _ = operator.derivatives(v, bc)
+    gtt, _, gaa, _, ct = laplacian_coefficient_values(operator.grid.axis, operator.t[:, None],
+                                                      lam + 1j * h, 0.0, 0.0)
+    dv = operator.solve(-np.imag(gtt * v_tt + gaa * v_aa + ct * v_t) / h, 0.0)
+    tau, dtau = (cosine_coefficients(operator.t_derivative_trace(f, data), j,
+                                     operator.grid.symmetry)[0][j]
+                 for f, data in ((v, bc), (dv, 0.0)))
+    q = np.tan(lam) / (2.0 * lam)
+    dq = 1.0 / (2.0 * lam * np.cos(lam) ** 2) - q / lam
+    return float(dq * tau + q * dtau - np.sin(lam) / np.cos(lam) ** 3)
+
+
+def _integer(name, value):
+    """``value`` as an int (:func:`~serrin.geometry._as_int`), else a DomainValidationError."""
+    n = _as_int(value)
+    if n is None:
+        raise DomainValidationError(f"{name} must be an integer, got {value!r}")
+    return n
+
+
 def _check_truncation(mode, truncation, resolution):
+    """The truncation as an int, if it is one in [j, M/2)."""
+    truncation = _integer("truncation", truncation)
     m_angles = resolution[1]
     if truncation < mode.n:
         raise DomainValidationError(
@@ -114,6 +148,7 @@ def _check_truncation(mode, truncation, resolution):
             f"truncation {truncation} reaches the Nyquist mode {m_angles // 2} of "
             f"{m_angles} angle nodes, whose discrete eigenvalue is 0; it must stay "
             f"below {m_angles // 2}")
+    return truncation
 
 
 def check_cr_hypotheses(mode, truncation=16, resolution=(64, 64)):
@@ -125,22 +160,22 @@ def check_cr_hypotheses(mode, truncation=16, resolution=(64, 64)):
     ``KERNEL_TOL``, namely mode j; (iii) every other eigenvalue stays beyond
     ``GAP_FLOOR`` (codimension-one range); (iv) the kernel eigenvalue
     crosses zero transversally, with the sign of the closed-form slope; the
-    discrete slope is a central difference with step ``SLOPE_STEP``.
-    A truncation below j cannot see the kernel mode, and one at or above
-    M/2 reaches the Nyquist mode of the M angle nodes, whose discrete
-    eigenvalue is exactly 0; both raise :class:`DomainValidationError`
-    before any solve.
-    Every straight-tube solve, the torsion fields of (i) and the discrete
-    eigenvalues alike, goes through the mode-diagonal
-    :class:`~serrin.discrete.StraightTubeOperator`, all on one full
-    :class:`~serrin.discrete.TubeGrid`.  Any failure raises
+    discrete slope is exact (:func:`_transversality_slope`).
+    A truncation that is no integer (an integral float is one), one below
+    j, which cannot see the kernel mode, or one at or above M/2, the
+    Nyquist mode of the M angle nodes, whose discrete eigenvalue is
+    exactly 0, raises :class:`DomainValidationError` before any solve.
+    Three mode-diagonal :class:`~serrin.discrete.StraightTubeOperator` on
+    one full :class:`~serrin.discrete.TubeGrid` do every solve: (i) at
+    0.95, 1.05 and 1 times lambda_j, and the one at lambda_j gives every
+    sigma_m from one harmonic extension and the slope.  Any failure raises
     :class:`AnalysisError` naming the item; its ``details`` hold lambda_j,
     the resolution, the truncation, the trivial defect and the ``sigmas``
     computed so far.
     """
     mode = ModeIndex.coerce(mode)
     n_t, m_angles = parse_resolution(resolution)
-    _check_truncation(mode, truncation, (n_t, m_angles))
+    truncation = _check_truncation(mode, truncation, (n_t, m_angles))
     root = find_lambda_n(mode)
     lam_j = root.lambda_n
     details = {"lambda_j": lam_j, "resolution": (n_t, m_angles), "truncation": truncation,
@@ -156,10 +191,9 @@ def check_cr_hypotheses(mode, truncation=16, resolution=(64, 64)):
     for factor in (0.95, 1.05):
         trivial = max(trivial, serrin_defect(torsion_field(
             StraightTubeOperator(grid, factor * lam_j))))
-    # one operator at lambda_j serves the trivial-branch solve and the sigmas
+    # one operator at lambda_j serves the trivial-branch solve, the sigmas and the slope
     op_j = StraightTubeOperator(grid, lam_j)
-    fld_j = torsion_field(op_j)
-    trivial = details["trivial_defect"] = max(trivial, serrin_defect(fld_j))
+    trivial = details["trivial_defect"] = max(trivial, serrin_defect(torsion_field(op_j)))
     if trivial > 1e-10:
         raise failure(f"hypothesis (i) trivial branch: straight-tube defect {trivial:.3e}")
 
@@ -175,9 +209,7 @@ def check_cr_hypotheses(mode, truncation=16, resolution=(64, 64)):
     if gap <= GAP_FLOOR:
         raise failure(f"hypothesis (iii) range: spectral gap {gap:.3e} <= {GAP_FLOOR:.0e}")
 
-    plus, minus = (_discrete_sigmas(StraightTubeOperator(grid, lam), [mode.n])[mode.n]
-                   for lam in (lam_j + SLOPE_STEP, lam_j - SLOPE_STEP))
-    slope = (plus - minus) / (2.0 * SLOPE_STEP)
+    slope = _transversality_slope(op_j, mode.n)
     closed = sigma_prime_closed_form(root)
     if slope == 0.0 or np.sign(slope) != np.sign(closed):
         raise failure(
@@ -185,11 +217,10 @@ def check_cr_hypotheses(mode, truncation=16, resolution=(64, 64)):
             f"closed form {closed:.3e}")
 
     return CRCertificate(mode, lam_j, trivial, float(sig[mode.n]), int(below.size),
-                         gap, float(slope), closed, True,
+                         gap, slope, closed, True,
                          details={"sigmas": details["sigmas"],
                                   "resolution": details["resolution"],
-                                  "truncation": truncation},
-                         lambda_field=fld_j)
+                                  "truncation": truncation})
 
 
 @dataclass
@@ -283,30 +314,28 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
     M/j must be an even integer, else a :class:`ConfigError` names the
     nearest valid M before the certificate runs; the truncation must lie in
     [j, M/2), as for :func:`check_cr_hypotheses`.  A ``certificate`` of
-    another mode raises :class:`DomainValidationError` naming both modes
-    before any solve; one at another resolution or truncation is accepted.
-    A point's ``neumann`` is the sector's flux repeated j times, the full
-    angle grid.
+    another mode, an ``s_max`` that is not finite and nonzero, and an
+    ``n_steps`` below 1 or not an integer (integral floats are) raise
+    :class:`DomainValidationError` before any solve; a certificate at
+    another resolution or truncation is accepted.  A point's ``neumann`` is
+    the sector's flux repeated j times, the full angle grid.
 
-    A point's first steps are chord steps on the leading-order Jacobian
-    J0(s), which holds the discrete eigenvalues sigma_m(lambda_j) of the
-    free modes and s times the certificate's transversality slope.  The
-    eigenvalues are the certificate's when it was computed at the run's
-    resolution to at least the run's truncation, else they are computed on
-    the run's grid for the multiples of j.  A chord step that does not cut
-    the residual by ``CHORD_CONTRACTION`` is discarded; the point then
-    builds the exact tangent of the discrete flux map at its current
+    The straight tube lambda_j, built once on the sector grid, gives the
+    s = 0 point and, from one harmonic extension, the discrete eigenvalues
+    sigma_m(lambda_j).  A point's first steps are chord steps on the
+    leading-order Jacobian J0(s), which holds those of the free modes and s
+    times the certificate's transversality slope.  A chord step that does
+    not cut the residual by ``CHORD_CONTRACTION`` is discarded; the point
+    then builds the exact tangent of the discrete flux map at its current
     iterate, all of its columns solved with the matrix-free operator the
-    residual there already built, and keeps it frozen.  The s = 0 point
-    reuses the certificate's lambda_j field when the resolutions agree,
-    else solves it on the run's grid.  A point whose iteration diverges, or
-    whose line search cannot lower the residual in five halvings, is
-    retried from the half-amplitude; a second failure raises
-    :class:`NumericalError` with the run so far as ``partial_run`` and the
-    mode, failing amplitude, last good amplitude, resolution and truncation
-    as ``details``, plus the failed Newton solve's own ``details`` under
-    ``newton``.  Profiles leaving the admissible band terminate the run
-    with a reason.
+    residual there already built, and keeps it frozen.  A point whose
+    iteration diverges, or whose line search cannot lower the residual in
+    five halvings, is retried from the half-amplitude; a second failure
+    raises :class:`NumericalError` with the run so far as ``partial_run``
+    and the mode, failing amplitude, last good amplitude, resolution and
+    truncation as ``details``, plus the failed Newton solve's own
+    ``details`` under ``newton``.  Profiles leaving the admissible band
+    terminate the run with a reason.
     """
     mode = ModeIndex.coerce(mode)
     if certificate is not None and certificate.mode != mode:
@@ -315,25 +344,24 @@ def trace_branch(mode, s_max, n_steps, resolution=(64, 64), truncation=16,
             f"certificate does not match the arguments: mode {mode.axis.value} {mode.n} "
             f"vs the certificate's {theirs.axis.value} {theirs.n}")
     resolution = parse_resolution(resolution)
-    _check_truncation(mode, truncation, resolution)
+    truncation = _check_truncation(mode, truncation, resolution)
+    if not (isinstance(s_max, Real) and np.isfinite(s_max) and s_max != 0.0):
+        raise DomainValidationError(f"s_max must be a finite nonzero number, got {s_max!r}")
+    n_steps = _integer("n_steps", n_steps)
+    if n_steps < 1:
+        raise DomainValidationError(f"n_steps must be >= 1, got {n_steps}")
     grid = TubeGrid(mode.axis, *resolution, symmetry=mode.n)
     if certificate is None:
         certificate = check_cr_hypotheses(mode, truncation, resolution)
     lam_j = certificate.lambda_j
-    settings = {"s_max": float(s_max), "n_steps": int(n_steps),
-                "resolution": resolution,
-                "truncation": int(truncation), "newton_tol": NEWTON_TOL,
-                "max_newton": MAX_NEWTON}
+    settings = {"s_max": float(s_max), "n_steps": n_steps, "resolution": resolution,
+                "truncation": truncation, "newton_tol": NEWTON_TOL, "max_newton": MAX_NEWTON}
 
     modes = _equation_modes(truncation, grid)
-    fld0, sigmas = certificate.lambda_field, np.asarray(certificate.details["sigmas"])
-    if fld0 is None or certificate.details["resolution"] != resolution:
-        op_j = StraightTubeOperator(grid, lam_j)
-        fld0, sigmas = torsion_field(op_j), _discrete_sigmas(op_j, modes)
-    elif sigmas.size <= truncation:
-        sigmas = _discrete_sigmas(StraightTubeOperator(grid, lam_j), modes)
+    op_j = StraightTubeOperator(grid, lam_j)
+    sigmas = _discrete_sigmas(op_j, modes)
     x = np.concatenate([[lam_j], np.zeros(modes.size - 1)])
-    points = [_make_point(mode, 0.0, x, fld0, 0, 0, resolution)]
+    points = [_make_point(mode, 0.0, x, torsion_field(op_j), 0, 0, resolution)]
 
     def newton(x0, amplitude):
         return _newton_solve(mode, x0, amplitude, truncation, grid, NEWTON_TOL,

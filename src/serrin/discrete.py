@@ -88,7 +88,8 @@ Which operator serves which caller:
   on eta, keeps the modes apart, so the preconditioner takes that grid as
   it takes the default one.
 - :class:`StraightTubeOperator` serves the bifurcation certificate, the
-  s = 0 branch point, and the preconditioner above.
+  s = 0 branch point, and the preconditioner above.  It lifts Dirichlet
+  data through ``boundary_lift`` too, before its rfft.
 - :class:`TubeOperator`, the 2-D assembly with its band LU, built on the
   first solve, serves only the tests, as the oracle that they compare the
   other two with.  Its residual is the node-by-node one and its row norm
@@ -411,6 +412,12 @@ class _GridOperator:
         gtt, gta, gaa, ct = self._coeffs
         return gtt * u_tt + 2.0 * gta * u_ta + gaa * u_aa + ct * u_t
 
+    def _lifted(self, rhs, boundary_values):
+        """``rhs`` on the grid minus :meth:`boundary_lift`, skipped for zero data."""
+        b = _as_grid(rhs, (self.n_t, self.m_angles))
+        bc = _as_grid(boundary_values, (self.m_angles,))
+        return b - self.boundary_lift(bc) if np.any(bc) else b
+
     def boundary_lift(self, boundary_values):
         """``apply(zeros, boundary_values)``: the part of the operator on t = 1.
 
@@ -622,7 +629,8 @@ class StraightTubeOperator(_GridOperator):
     banded n_t x n_t radial system, built from the same stencils.  The
     M/2 + 1 systems form one block-diagonal band of order (M/2 + 1) n_t,
     factorized by one :class:`_BandLU` when the operator is built;
-    ``solve`` is one ``dgbtrs`` with the real and imaginary parts as two
+    ``solve`` lifts nonzero Dirichlet data with :meth:`boundary_lift` and is
+    one ``dgbtrs`` with the real and imaginary parts of its rfft as two
     right-hand sides.  The residual applies the operator node by
     node, not per mode.  On a grid of symmetry order j, M is the sector's
     node count and mode k is the circle's mode kj, the mode that the
@@ -650,11 +658,6 @@ class StraightTubeOperator(_GridOperator):
         row = np.broadcast_to(np.arange(n_t)[:, None], nodes.shape)
         col = st.rows[nodes]
         interior = col < n_t
-        # the weight of the node t = 1 in each row: zero but on the rows
-        # whose stencils reach it
-        rows = st.boundary_rows
-        self._boundary_coef = np.zeros(n_t)
-        self._boundary_coef[rows] = gtt[rows] * st.boundary_w2 + ct[rows] * st.boundary_w1
         kl = int(np.max((row - col)[interior]))
         ku = int(np.max((col - row)[interior]))
         band = (kl + ku + row - col)[interior], col[interior]
@@ -689,12 +692,7 @@ class StraightTubeOperator(_GridOperator):
 
     def solve(self, rhs, boundary_values):
         """Solve A u = rhs with Dirichlet data on t = 1, as TubeOperator.solve."""
-        rhs = _as_grid(rhs, (self.n_t, self.m_angles))
-        bc = _as_grid(boundary_values, (self.m_angles,))
-        b = np.fft.rfft(rhs, axis=1)
-        # zero data, as in every preconditioner and torsion solve, lift nothing
-        if np.any(bc):
-            b -= self._boundary_coef[:, None] * np.fft.rfft(bc)
+        b = np.fft.rfft(self._lifted(rhs, boundary_values), axis=1)
         # the real and imaginary parts of every mode are two right-hand sides
         x = np.empty((2, b.shape[1], self.n_t))
         x[0], x[1] = b.real.T, b.imag.T
@@ -741,13 +739,8 @@ class MatrixFreeTubeOperator(_GridOperator):
 
     def solve(self, rhs, boundary_values):
         """Solve A u = rhs with Dirichlet data on t = 1, as TubeOperator.solve."""
-        shape = (self.n_t, self.m_angles)
-        b = _as_grid(rhs, shape)
-        bc = _as_grid(boundary_values, (self.m_angles,))
-        if np.any(bc):
-            b = b - self.boundary_lift(bc)
-        u, self.iterations = self._gmres(b.ravel())
-        return _finite(u, self.context).reshape(shape)
+        u, self.iterations = self._gmres(self._lifted(rhs, boundary_values).ravel())
+        return _finite(u, self.context).reshape(self.n_t, self.m_angles)
 
     def solve_interior(self, rhs):
         """Solve A U = rhs column by column with zero Dirichlet data.

@@ -45,6 +45,14 @@ PROFILE_CHECK_POINTS = 512
 PROFILE_CHECK_PER_MODE = 8
 
 
+def _as_int(value):
+    """``value`` as an int if it is an integer, an integral float included, else None."""
+    try:
+        return int(value) if int(value) == value else None
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 class Axis(str, Enum):
     """Which circle factor the profile (and boundary data) depends on."""
 
@@ -76,13 +84,10 @@ class ModeIndex:
 
     def __post_init__(self):
         object.__setattr__(self, "axis", Axis.coerce(self.axis))
-        try:
-            valid = int(self.n) == self.n and self.n >= 0
-        except (TypeError, ValueError):
-            valid = False
-        if not valid:
+        n = _as_int(self.n)
+        if n is None or n < 0:
             raise DomainValidationError(f"mode frequency must be an integer >= 0, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def coerce(cls, mode):

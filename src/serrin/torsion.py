@@ -27,8 +27,8 @@ import numpy as np
 
 from .discrete import GRADING, HALF_WIDTH, MatrixFreeTubeOperator, TubeGrid, _finite
 from .errors import ConfigError, NumericalError
-from .geometry import (BoundaryProfile, boundary_area_element, laplacian_coefficient_values,
-                       neumann_weight, neumann_weight_values)
+from .geometry import (BoundaryProfile, _as_int, boundary_area_element,
+                       laplacian_coefficient_values, neumann_weight, neumann_weight_values)
 
 __all__ = ["TorsionField", "solve_torsion", "torsion_field", "check_residual", "flux_tangents",
            "serrin_defect", "mean_flux", "parse_resolution"]
@@ -40,15 +40,24 @@ COMPLEX_STEP = 1e-30
 
 
 def parse_resolution(resolution):
-    """Accept (n_t, m_angles) pairs or 'NxM' strings."""
+    """Accept (n_t, m_angles) pairs of integers (integral floats too) or 'NxM' strings.
+
+    Anything else, a pair holding 48.5 or NaN included, is a
+    :class:`ConfigError` naming the input.
+    """
     if isinstance(resolution, str):
         try:
             n_t, m = (int(p) for p in resolution.lower().split("x"))
         except ValueError:
             raise ConfigError(f"cannot parse resolution {resolution!r}, expected 'NxM'")
         return n_t, m
-    n_t, m = resolution
-    return int(n_t), int(m)
+    try:
+        pair = tuple(map(_as_int, resolution))
+    except TypeError:           # not iterable
+        pair = ()
+    if len(pair) != 2 or None in pair:
+        raise ConfigError(f"resolution must be two integers (n_t, m_angles), got {resolution!r}")
+    return pair
 
 
 @dataclass

@@ -18,7 +18,11 @@ None of these is called by the package itself:
   independently of the operator's own band;
 * the second-order periodic angle stencils (:func:`periodic_fd_matrices`)
   and a grid that couples the angle with them (:func:`fd2_grid`), the
-  low-order reference for the package's Fourier coupling.
+  low-order reference for the package's Fourier coupling;
+* the transversality slope of the discrete eigenvalue sigma_j as a
+  Richardson-extrapolated central difference in lambda
+  (:func:`richardson_slope`), the reference of the certificate's exact
+  slope ``branch._transversality_slope``.
 """
 
 import sys
@@ -29,9 +33,11 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.integrate import solve_ivp
 
-from serrin.discrete import TubeGrid, _circulant, _coo_entries
+from serrin.discrete import StraightTubeOperator, TubeGrid, _circulant, _coo_entries
 from serrin.errors import AnalysisError, ConsistencyError, DomainValidationError, PrecisionError
+from serrin.fourier import CosineSeries
 from serrin.geometry import HALF_PI, Axis, ModeIndex
+from serrin.linearize import apply_L
 from serrin.modes import DEFAULT_LAUNCH_RADIUS, chebyshev_grid
 from serrin.spectrum import _sigma_from_lprime, find_lambda_n, sigma, sigma_values
 
@@ -457,3 +463,26 @@ def fd2_grid(axis, n_t, m_angles, axis_shift=None, symmetry=1):
     for array in (grid.d1a, grid.d2a):
         array.flags.writeable = False
     return grid
+
+
+# ----------------------------------------------------------------------
+# the transversality slope by differences in lambda
+# ----------------------------------------------------------------------
+
+def discrete_sigma(grid, j, lam):
+    """sigma_j of the straight tube ``lam`` on ``grid``: one extension of cos(j .)."""
+    la = apply_L(lam, CosineSeries.basis(j), axis=grid.axis,
+                 operator=StraightTubeOperator(grid, lam))
+    return la.series.coefficient(j)
+
+
+def richardson_slope(grid, j, lam, h=1e-3):
+    """d sigma_j / d lambda from central differences at steps h and h/2, extrapolated.
+
+    Each difference is O(h^2) accurate, so (4 D(h/2) - D(h)) / 3 is O(h^4).
+    """
+    def central(step):
+        return (discrete_sigma(grid, j, lam + step) - discrete_sigma(grid, j, lam - step)) / (
+            2.0 * step)
+
+    return (4.0 * central(0.5 * h) - central(h)) / 3.0

@@ -1,15 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
-from serrin import branch, discrete, modes
+from serrin import branch, discrete, linearize, modes
 from serrin.errors import AnalysisError, ConfigError, DomainValidationError, NumericalError
 from serrin.fourier import CosineSeries
 from serrin.geometry import Axis, BoundaryProfile, ModeIndex
 from serrin.branch import branch_report, check_cr_hypotheses, trace_branch
 from serrin.linearize import apply_L, constant_operator
-from serrin.torsion import serrin_defect, solve_torsion
+from serrin.torsion import serrin_defect, solve_torsion, torsion_field
+
+from oracles import discrete_sigma, richardson_slope
 
 XI, ETA = Axis.XI, Axis.ETA
+# the certificate grids of the branch payloads and of the tests
+SLOPE_CASES = [(XI, 2, (64, 64)), (ETA, 2, (64, 64)), (ETA, 3, (64, 66)), (XI, 2, (48, 32))]
 
 
 def _fd_jacobian(mode, x, s, truncation, grid, h):
@@ -91,6 +97,42 @@ class TestCertificate:
                                    resolution=(48, 32))
         assert cert.passed and cert.transversality_slope < 0.0
         assert cert.spectral_gap > 1e-2
+
+    def test_builds_three_straight_tubes_and_one_extension(self, monkeypatch):
+        # 0.95 lambda_j, 1.05 lambda_j and lambda_j; every sigma_m comes from
+        # one harmonic extension, the slope from two solves on lambda_j's factors
+        built = _record_calls(monkeypatch, discrete.StraightTubeOperator, "__init__")
+        extensions = _record_calls(monkeypatch, linearize, "harmonic_extend")
+        cert = check_cr_hypotheses(ModeIndex(XI, 2), truncation=8, resolution=(48, 32))
+        assert cert.passed and len(built) == 3 and len(extensions) == 1
+
+    @pytest.mark.parametrize("axis, j, resolution", SLOPE_CASES)
+    def test_exact_slope_matches_the_difference_quotient(self, lambda_roots, axis, j, resolution):
+        grid = discrete.TubeGrid(axis, *resolution)
+        lam = lambda_roots[(axis, j)].lambda_n
+        slope = branch._transversality_slope(discrete.StraightTubeOperator(grid, lam), j)
+        oracle = richardson_slope(grid, j, lam)
+        assert abs(slope - oracle) <= 1e-8 * abs(oracle)
+
+    @pytest.mark.parametrize("axis, j, resolution", SLOPE_CASES)
+    def test_exact_slope_is_steady_under_one_ulp_of_lambda(self, lambda_roots, axis, j,
+                                                          resolution):
+        # a central difference with step 1e-4 moves by up to 6e-9 relative here
+        grid = discrete.TubeGrid(axis, *resolution)
+        lam = lambda_roots[(axis, j)].lambda_n
+        here, above = (branch._transversality_slope(discrete.StraightTubeOperator(grid, x), j)
+                       for x in (lam, math.nextafter(lam, 2.0)))
+        assert abs(above - here) <= 1e-10 * abs(here)
+
+    @pytest.mark.parametrize("axis, j, resolution", SLOPE_CASES)
+    def test_sigmas_of_one_extension_match_one_extension_per_mode(self, lambda_roots, axis, j,
+                                                                 resolution):
+        grid = discrete.TubeGrid(axis, *resolution)
+        lam = lambda_roots[(axis, j)].lambda_n
+        modes = range(resolution[1] // 2)
+        sigmas = branch._discrete_sigmas(discrete.StraightTubeOperator(grid, lam), modes)
+        per_mode = [discrete_sigma(grid, m, lam) for m in modes]
+        assert np.max(np.abs(sigmas - per_mode)) <= 1e-10
 
     def test_builds_no_two_dimensional_operator(self, monkeypatch):
         calls = _record_factorizations(monkeypatch)
@@ -189,7 +231,10 @@ class TestBranch:
         assert assembled == [] and factorized == []
         assert 0 < len(built) <= 4
 
-    def test_start_reuses_the_certificate_field(self, cert_xi2, monkeypatch):
+    def test_start_is_the_sector_straight_tube_field(self, cert_xi2, monkeypatch):
+        # the s = 0 point is the straight tube lambda_j on the run's own
+        # sector grid, repeated over the circle; no matrix-free operator is
+        # built for it
         built = []
         init = discrete.MatrixFreeTubeOperator.__init__
 
@@ -201,7 +246,9 @@ class TestBranch:
         run = trace_branch(ModeIndex(XI, 2), s_max=0.005, n_steps=1,
                            resolution=(48, 32), truncation=12, certificate=cert_xi2)
         assert built and not any(p.is_constant for p in built)
-        assert np.array_equal(run.points[0].neumann, cert_xi2.lambda_field.neumann)
+        sector = discrete.TubeGrid(XI, 48, 32, symmetry=2)
+        fld = torsion_field(discrete.StraightTubeOperator(sector, cert_xi2.lambda_j))
+        assert np.array_equal(run.points[0].neumann, np.tile(fld.neumann, 2))
 
     def test_one_grid_serves_the_whole_run(self, monkeypatch):
         # the certificate's full grid and the run's sector grid: one stencil
@@ -256,6 +303,38 @@ class TestBranch:
                            match=f"mode {mode.axis.value} {mode.n} vs the certificate's xi 2"):
             trace_branch(mode, s_max=0.01, n_steps=2, resolution=resolution,
                          truncation=8, certificate=cert_xi2)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(s_max=0.01, n_steps=2.5), "n_steps must be an integer, got 2.5"),
+        (dict(s_max=0.01, n_steps=0), "n_steps must be >= 1, got 0"),
+        (dict(s_max=0.01, n_steps=-1), "n_steps must be >= 1, got -1"),
+        (dict(s_max=math.nan, n_steps=2), "s_max must be a finite nonzero number, got nan"),
+        (dict(s_max=math.inf, n_steps=2), "s_max must be a finite nonzero number, got inf"),
+        (dict(s_max=0.0, n_steps=2), "s_max must be a finite nonzero number, got 0.0"),
+        (dict(s_max="0.01", n_steps=2), "s_max must be a finite nonzero number, got '0.01'"),
+        (dict(s_max=0.01, n_steps=2, truncation=8.5), "truncation must be an integer, got 8.5"),
+    ])
+    def test_unusable_arguments_are_rejected_before_any_solve(self, monkeypatch, kwargs, match):
+        # unchecked, n_steps=0 returned a one-point "completed" run, NaN and
+        # inf ran the certificate first, and 2.5 and 8.5 escaped as TypeError
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved")
+
+        for name in ("find_lambda_n", "check_cr_hypotheses", "torsion_field",
+                     "_discrete_sigmas", "_newton_solve"):
+            monkeypatch.setattr(branch, name, no_solve)
+        with pytest.raises(DomainValidationError, match=match):
+            trace_branch(ModeIndex(XI, 2), resolution=(48, 32), **dict(dict(truncation=8), **kwargs))
+
+    def test_integral_float_counts_are_accepted(self, cert_xi2):
+        # as ModeIndex accepts 2.0; a float count once escaped as TypeError
+        run = trace_branch(ModeIndex(XI, 2), 0.01, 2.0, resolution=(48, 32),
+                           truncation=12.0, certificate=cert_xi2)
+        assert len(run.points) == 3 and run.termination == "completed"
+        assert type(run.settings["n_steps"]) is int and type(run.settings["truncation"]) is int
+        cert = check_cr_hypotheses(ModeIndex(XI, 2), 8.0, (48, 32))
+        assert cert.passed and cert.details["truncation"] == 8
+        assert len(cert.details["sigmas"]) == 9
 
     def test_points_carry_their_krylov_iterations_and_sine_residual(self, run_xi2):
         rows = branch_report(run_xi2).rows

@@ -307,22 +307,6 @@ class TestBoundaryLift:
             assert np.array_equal(op.boundary_lift(np.zeros(m)), np.zeros((n_t, m)))
             assert np.array_equal(op.boundary_lift(0.0), np.zeros((n_t, m)))
 
-    # the straight tube's t = 1 weights, from the stencil table's boundary
-    # weights on the rows that reach t = 1, against the sum over each row's
-    # whole stencil of the entries on the boundary node
-    @pytest.mark.parametrize("axis", [Axis.XI, Axis.ETA])
-    @pytest.mark.parametrize("resolution, j", [((8, 4), 1), ((40, 32), 2), ((64, 66), 3),
-                                               ((256, 48), 1)])
-    def test_straight_tube_boundary_weights_are_the_stencil_sum(self, axis, resolution, j):
-        grid = TubeGrid(axis, *resolution, symmetry=j)
-        st = grid.stencils
-        for lam in (0.3, 1.2):
-            op = StraightTubeOperator(grid, lam)
-            gtt, _, _, ct = op._coeffs
-            on_boundary = st.rows[st.nodes] == grid.n_t
-            want = np.where(on_boundary, gtt * st.w2 + ct * st.w1, 0.0).sum(axis=1)
-            assert _same_bits(op._boundary_coef, want)
-
 
 # (axis, profile, resolution, angle scheme, injected axis shift): each size,
 # both axes, straight and perturbed (cross terms), both schemes, and the

@@ -192,6 +192,13 @@ class TestProfilesAndTypes:
         with pytest.raises(DomainValidationError):
             ModeIndex("diagonal", 1)
 
+    @pytest.mark.parametrize("n", [2.5, float("nan"), float("inf"), "2", None])
+    def test_mode_frequency_that_is_no_integer_is_rejected(self, n):
+        # unchecked, inf escaped as OverflowError
+        with pytest.raises(DomainValidationError, match="must be an integer >= 0"):
+            ModeIndex(Axis.XI, n)
+        assert ModeIndex(Axis.XI, 2.0).n == 2 and type(ModeIndex(Axis.XI, 2.0).n) is int
+
     def test_admissibility(self):
         with pytest.raises(DomainValidationError):
             BoundaryProfile(Axis.XI, [0.05, 0.0, 0.1])   # dips below zero

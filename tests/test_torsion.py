@@ -275,6 +275,19 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_resolution("48by32")
 
+    @pytest.mark.parametrize("resolution", [(48.5, 32), ("48x32",), (48, float("nan")),
+                                            (48, float("inf")), (48, 32, 2), 48, None])
+    def test_resolution_pair_of_non_integers_is_rejected(self, resolution):
+        # unchecked, (48.5, 32) became (48, 32) and the others escaped as a
+        # bare ValueError, OverflowError or TypeError
+        with pytest.raises(ConfigError, match="resolution must be two integers") as info:
+            parse_resolution(resolution)
+        assert repr(resolution) in str(info.value)
+
+    def test_resolution_pair_of_integral_floats_is_accepted(self):
+        got = parse_resolution((48.0, np.int64(32)))
+        assert got == (48, 32) and all(type(n) is int for n in got)
+
     def test_inadmissible_profile_rejected(self):
         prof = BoundaryProfile.constant(Axis.XI, 0.5)
         prof.series.coeffs[0] = 2.0      # corrupt after construction
