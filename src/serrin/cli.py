@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from . import __version__, io
+from . import __version__, _blas, io
 from .battery import INJECTIONS, gate, verify_table
 from .branch import branch_report, trace_branch
 from .errors import (AnalysisError, ConfigError, ConsistencyError,
@@ -125,6 +125,8 @@ def _manifest(out, command, options):
         "command": command,
         "options": {k: (v.value if isinstance(v, Axis) else v) for k, v in options.items()},
         "version": __version__,
+        "blas": {"library": _blas.LIBRARY and os.path.basename(_blas.LIBRARY),
+                 "caller_threads": _blas.threads(), "solve_threads": 1 if _blas.LIBRARY else None},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     })
 

@@ -77,33 +77,28 @@ Which operator serves which caller:
   by node and solves by GMRES preconditioned with the straight tube of the
   profile's mean radius, which for a straight tube is the operator itself
   up to roundoff: one Krylov iteration per solve, while the leakage is
-  still measured on the node-by-node apply.  A solve of k iterations makes
-  k preconditioner solves and k applies: Dirichlet data enter through
-  ``boundary_lift``, written on the last ``HALF_WIDTH`` radial rows (the
-  ones whose stencils reach t = 1), and GMRES keeps the preconditioned
-  vectors it applies, so the solution needs no further preconditioner
-  solve.  The Krylov rows are the operator's own, grown on first need and
-  reused by its later solves.  ``serrin verify``'s axis-condition
-  injection runs on it too: the swapped reflection, shift M/2 on xi and 0
-  on eta, keeps the modes apart, so the preconditioner takes that grid as
-  it takes the default one.
+  still measured on the node-by-node apply; its class docstring counts
+  the work of a solve.  ``serrin verify``'s axis-condition injection runs
+  on it too: the swapped reflection, shift M/2 on xi and 0 on eta, keeps
+  the modes apart, so the preconditioner takes that grid as it takes the
+  default one.
 - :class:`StraightTubeOperator` serves the bifurcation certificate, the
   s = 0 branch point, and the preconditioner above.  It lifts Dirichlet
   data through ``boundary_lift`` too, before its rfft.
-- :class:`TubeOperator`, the 2-D assembly with its band LU, built on the
-  first solve, serves only the tests, as the oracle that they compare the
-  other two with.  Its residual is the node-by-node one and its row norm
-  that of :func:`_row_norm`, so its own check does not rest on its
-  factors; it lifts Dirichlet data from its own t = 1 entries, not through
-  ``boundary_lift``.  It stays in this module because the benchmark's
-  tracer patches ``TubeOperator`` here by name.  The tests build the CSC
-  matrices of its entries themselves, so the package loads no scipy
-  module but its LAPACK extension.
+- :class:`TubeOperator`, the 2-D assembly with its band LU, serves only
+  the tests, as the oracle that they compare the other two with; its class
+  docstring says why it stays here.  The tests build the CSC matrices of
+  its entries themselves, so the package loads no scipy module but its
+  LAPACK extension.
 
 The LAPACK routines come from :mod:`serrin._lapack`, scipy's compiled
 wrapper loaded without the ``scipy.linalg`` package.  GMRES's triangular
 solve makes the ``dtrtrs`` call of scipy's ``solve_triangular``
-(:func:`_solve_upper`), so its result is scipy's bit for bit.
+(:func:`_solve_upper`), so its result is scipy's bit for bit.  Numpy's
+BLAS runs ``derivatives`` (the angle GEMMs of each apply) and GMRES (its
+products and norms) on one thread (:mod:`serrin._blas`): at 256x48 these
+calls pass OpenBLAS's threading sizes and a second thread only spins, and
+on one thread their bits do not depend on the host's core count.
 """
 
 from functools import cached_property
@@ -112,6 +107,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it on first use otherwise)
 
 from . import _lapack as lapack
+from ._blas import one_thread
 from .errors import ConfigError, NumericalError
 from .fourier import angle_grid
 from .geometry import Axis, BoundaryProfile, laplacian_coefficient_values, laplacian_coefficients
@@ -384,10 +380,13 @@ class _GridOperator:
         Only ``scaled_residual`` reads it, so an operator that serves as a
         preconditioner never pays for it.  :func:`_row_norm` assumes the
         Fourier angle coupling: on a grid with other angle matrices (the
-        tests' second-order reference) it is the Fourier operator's.
+        tests' second-order reference) it is the Fourier operator's.  A
+        constant profile's angle-free coefficients pass one column (K = 1).
         """
-        return _row_norm(self.grid, *self._coeffs)
+        coeffs = (np.broadcast_to(f, (self.n_t, self.m_angles)) for f in self._coeffs)
+        return _row_norm(self.grid, *(f[:, :1] if self.profile.is_constant else f for f in coeffs))
 
+    @one_thread
     def derivatives(self, u, boundary_values):
         """Discrete (u_t, u_tt, u_aa, u_ta) of a field, each (n_t, M).
 
@@ -764,6 +763,7 @@ class MatrixFreeTubeOperator(_GridOperator):
             self._krylov = grown
         return self._krylov
 
+    @one_thread
     def _gmres(self, b):
         """One restart-free GMRES cycle on a flat right-hand side: (x, iterations).
 

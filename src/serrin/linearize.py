@@ -50,7 +50,8 @@ def constant_operator(axis, lam, resolution=DEFAULT_RESOLUTION):
     cost more iterations and show in the solution.  The caller owns it: one
     preconditioner factorization and one Krylov workspace serve every
     boundary datum at the same radius when the operator is passed as
-    ``operator=`` to :func:`apply_L` or :func:`harmonic_extend`.
+    ``operator=`` to :func:`apply_L` or :func:`harmonic_extend`.  Its solves
+    and applies run on one BLAS thread (:mod:`serrin._blas`).
     """
     n_t, m = parse_resolution(resolution)
     return MatrixFreeTubeOperator(TubeGrid(axis, n_t, m), BoundaryProfile.constant(axis, lam))

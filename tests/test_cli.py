@@ -1,11 +1,12 @@
 import csv
 import inspect
 import json
+import os
 
 import numpy as np
 import pytest
 
-from serrin import cli, discrete, modes
+from serrin import _blas, cli, discrete, modes
 from serrin.cli import main
 from serrin.modes import integrate_riccati, riccati_solution
 
@@ -67,6 +68,15 @@ class TestSweep:
         assert run(["sweep", "--config", str(config), "--out", str(out)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_manifest_records_the_blas_policy(tmp_path):
+    out = tmp_path / "out"
+    assert run(["sweep", "--n-min", "0", "--n-max", "0", "--points", "5",
+                "--out", str(out)]) == 0
+    blas = json.loads((out / "sweep_manifest.json").read_text())["blas"]
+    assert blas == {"library": os.path.basename(_blas.LIBRARY),
+                    "caller_threads": _blas.threads(), "solve_threads": 1}
 
 
 class TestRoots:

@@ -118,6 +118,29 @@ class TestRowNorm:
                 assert abs(op.row_norm - want) <= 1e-12 * want, (
                     type(op).__name__, coeffs, grid.axis_shift)
 
+    # the 256x48 full grid, the j=2 sector of 64x64 and verify's swapped reflection
+    @pytest.mark.parametrize("n_t, m, j, swapped", [(256, 48, 1, False), (64, 64, 2, False),
+                                                    (256, 48, 1, True)])
+    @pytest.mark.parametrize("axis", [Axis.XI, Axis.ETA])
+    def test_constant_profile_takes_one_angle_column(self, axis, n_t, m, j, swapped,
+                                                     monkeypatch):
+        shift = (m // 2 if axis is Axis.XI else 0) if swapped else None
+        grid = TubeGrid(axis, n_t, m, axis_shift=shift, symmetry=j)
+        full, shapes = discrete._row_norm, []
+
+        def spy(grid, *coeffs):
+            shapes.append({np.shape(f) for f in coeffs})
+            return full(grid, *coeffs)
+
+        monkeypatch.setattr(discrete, "_row_norm", spy)
+        for lam in (0.3, 0.9, 1.2):
+            op = MatrixFreeTubeOperator(grid, BoundaryProfile.constant(axis, lam))
+            assert all(f.shape == (n_t, grid.m_angles) for f in op._coeffs)
+            # bitwise: the full (n_t, M) coefficients and the straight tube's columns
+            assert op.row_norm == full(grid, *op._coeffs)
+            assert op.row_norm == StraightTubeOperator(grid, lam).row_norm
+        assert shapes == [{(n_t, 1)}] * 6
+
     @pytest.mark.parametrize("axis", [Axis.XI, Axis.ETA])
     def test_only_eta_rows_by_the_axis_keep_the_full_sum(self, axis):
         table = TubeGrid(axis, 48, 32).row_norm_table
